@@ -45,7 +45,11 @@ from repro.simulation.churn import ChurnScheduleBatch
 from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
-from repro.utils.sampling import sample_distinct_rows, sample_distinct_rows_excluding
+from repro.utils.sampling import (
+    fresh_cells,
+    sample_distinct_rows,
+    sample_distinct_rows_excluding,
+)
 from repro.utils.validation import check_integer
 
 __all__ = ["HyParViewProtocol"]
@@ -248,7 +252,7 @@ class HyParViewProtocol(Protocol):
                 fresh_mask = alive_flat[landed] & ~has_flat[landed]
                 latency.record(landed[fresh_mask], push_times[fresh_mask])
             if landed.size:
-                fresh = np.unique(landed[alive_flat[landed] & ~has_flat[landed]])
+                fresh = fresh_cells(landed[alive_flat[landed]], has_flat)
                 has_flat[fresh] = True
                 if latency is not None:
                     # A matured push can hand the message to a replica whose

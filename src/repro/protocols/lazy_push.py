@@ -43,6 +43,7 @@ from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import sample_group_targets_batch
+from repro.utils.sampling import fresh_cells
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = ["LazyPushProtocol"]
@@ -270,7 +271,7 @@ class LazyPushProtocol(Protocol):
                 fresh_mask = alive_flat[cells] & ~has_flat[cells]
                 latency.record(cells[fresh_mask], push_times[fresh_mask])
             if cells.size:
-                fresh = np.unique(cells[alive_flat[cells] & ~has_flat[cells]])
+                fresh = fresh_cells(cells[alive_flat[cells]], has_flat)
                 has_flat[fresh] = True
             rep_l, mem_l = np.nonzero(holders & ~eager[:, None])
             cells = np.empty(0, dtype=np.int64)

@@ -25,7 +25,11 @@ from repro.simulation.churn import ChurnScheduleBatch
 from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import UniformPartialView, sample_distinct
 from repro.simulation.network import NetworkModel
-from repro.utils.sampling import sample_distinct_rows, sample_distinct_rows_excluding
+from repro.utils.sampling import (
+    fresh_cells,
+    sample_distinct_rows,
+    sample_distinct_rows_excluding,
+)
 from repro.utils.validation import check_integer
 
 __all__ = ["LpbcastProtocol"]
@@ -166,7 +170,7 @@ class LpbcastProtocol(Protocol):
                     times = times[keep]
                 fresh_mask = alive_flat[cells] & ~has_flat[cells]
                 latency.record(cells[fresh_mask], times[fresh_mask])
-            fresh = np.unique(cells[alive_flat[cells] & ~has_flat[cells]])
+            fresh = fresh_cells(cells[alive_flat[cells]], has_flat)
             has_flat[fresh] = True
             if latency is not None:
                 # A matured push can hand the message to a replica whose

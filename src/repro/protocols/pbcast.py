@@ -27,6 +27,7 @@ from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import sample_group_targets_batch
+from repro.utils.sampling import fresh_cells
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = ["PbcastProtocol"]
@@ -231,7 +232,7 @@ class PbcastProtocol(Protocol):
                     pull_times = pull_times[keep]
             if latency is not None:
                 latency.record(pull_cells, pull_times + latency.draw(rng, pull_cells.size))
-            fresh = np.unique(pull_cells)
+            fresh = fresh_cells(pull_cells, has_flat)
             recovered = np.bincount(fresh // n, minlength=repetitions) > 0
             if latency is None:
                 active &= recovered

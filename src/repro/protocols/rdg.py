@@ -26,6 +26,7 @@ from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import sample_group_targets_batch
+from repro.utils.sampling import fresh_cells
 from repro.utils.validation import check_integer
 
 __all__ = ["RouteDrivenGossip"]
@@ -160,7 +161,7 @@ class RouteDrivenGossip(Protocol):
                         push_times = push_times[keep]
                     fresh_mask = alive_flat[cells] & ~has_flat[cells]
                     latency.record(cells[fresh_mask], push_times[fresh_mask])
-                fresh = np.unique(cells[alive_flat[cells] & ~has_flat[cells]])
+                fresh = fresh_cells(cells[alive_flat[cells]], has_flat)
                 has_flat[fresh] = True
                 if latency is not None:
                     # A matured push can revive a replica whose holders had

@@ -14,11 +14,12 @@ Requests (the ``op`` field selects the operation)::
     {"op": "shutdown"}
 
 Optional request fields: ``n`` and ``rounds`` (default to the surface's
-only / largest grid value), ``objective`` (``min_fanout`` | ``min_cost``)
-and ``live_fallback`` (bool, default false — a *serving* process answers
-from the surface only, so its latency stays bounded) for ``dimension``,
-and a free-form ``id`` echoed back verbatim for request/response
-correlation.
+only / largest grid value), ``objective`` (``min_fanout`` | ``min_cost``),
+``live_fallback`` (bool, default false — a *serving* process answers
+from the surface only, so its latency stays bounded) and ``seed`` (a
+non-negative integer seeding the live fallback, so its answers repeat;
+without it the fallback draws fresh entropy) for ``dimension``, and a
+free-form ``id`` echoed back verbatim for request/response correlation.
 
 Every response carries ``"ok": true`` plus the answer fields, or
 ``"ok": false`` plus ``"error"``; malformed lines never kill the loop.
@@ -53,6 +54,7 @@ from repro.serving.query import (
     pareto_from_surface,
 )
 from repro.serving.surface import ReliabilitySurface
+from repro.utils.validation import check_integer
 
 __all__ = ["handle_request", "serve_loop"]
 
@@ -103,6 +105,7 @@ def handle_request(engine: SurfaceQueryEngine, request: dict) -> dict:
             )
             response.update(_served_fields(answer))
         elif op == "dimension":
+            seed = request.get("seed")
             answer = dimension_from_surface(
                 engine,
                 n=_default_n(engine, request),
@@ -111,6 +114,7 @@ def handle_request(engine: SurfaceQueryEngine, request: dict) -> dict:
                 loss=float(request.get("loss", 0.0)),
                 objective=request.get("objective", "min_fanout"),
                 allow_live_fallback=bool(request.get("live_fallback", False)),
+                seed=None if seed is None else check_integer("seed", seed, minimum=0),
             )
             response.update(_served_fields(answer))
         elif op == "pareto":

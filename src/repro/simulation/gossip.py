@@ -7,10 +7,10 @@ Three implementations of the same protocol are provided:
   boolean masks: per gossip round there is one vectorised fanout draw for
   every (replica, frontier-member) pair, one batched distinct-target draw
   through :meth:`MembershipView.sample_targets_batch`, and one
-  ``unique``/``bincount`` pass that books deliveries, duplicates, and message
-  counts exactly.  This removes the Python-interpreter round trips that
-  dominated per-replica simulation and is 10-50× faster on the paper's
-  Figs. 4-5 sweeps.
+  :func:`~repro.utils.sampling.fresh_cells` scatter plus ``bincount`` pass
+  that books deliveries, duplicates, and message counts exactly.  This
+  removes the Python-interpreter round trips that dominated per-replica
+  simulation and is 10-50× faster on the paper's Figs. 4-5 sweeps.
 * :func:`simulate_gossip_once` — the scalar frontier (BFS) Monte-Carlo kept
   as the behavioural reference for the batched engine.  Time is abstracted
   into gossip "hops"; within a hop every newly infected nonfailed member
@@ -48,6 +48,7 @@ from repro.simulation.metrics import ExecutionMetrics
 from repro.simulation.network import NetworkModel
 from repro.simulation.node import Member
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.sampling import fresh_cells
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
@@ -601,8 +602,7 @@ def simulate_gossip_batch(
         # Deliveries are booked per (replica, target) cell: duplicates are
         # targets already infected or repeated within this round's batch
         # (dropped messages never arrive, so they are not duplicates).
-        unique_cells = np.unique(cell_ids)
-        fresh = unique_cells[~received_flat[unique_cells]]
+        fresh = fresh_cells(cell_ids, received_flat)
         duplicates += arrived_per_replica - np.bincount(fresh // n, minlength=repetitions)
         received_flat[fresh] = True
         newly_alive = fresh[alive_flat[fresh]]

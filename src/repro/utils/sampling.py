@@ -21,6 +21,12 @@ granularities:
   (the batched graph-percolation ensemble), so the two layers cannot drift
   apart statistically.
 
+A third kernel, :func:`fresh_cells`, is the batched form of the per-node
+"have I seen this message?" check: given the cells a round's messages land
+on and the mask of cells that already hold the message, it returns the
+newly reached ones.  The batched gossip engine and every protocol hook book
+their deliveries through it.
+
 The module lives under :mod:`repro.utils` because it must not depend on
 either the simulation or the graph subpackage.
 """
@@ -29,7 +35,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sample_distinct", "sample_distinct_rows", "sample_distinct_rows_excluding"]
+__all__ = [
+    "fresh_cells",
+    "sample_distinct",
+    "sample_distinct_rows",
+    "sample_distinct_rows_excluding",
+]
 
 #: Above this ``k * _NUMPY_CROSSOVER >= population`` threshold the scalar
 #: sampler uses a numpy partial permutation instead of the Python Floyd loop:
@@ -182,3 +193,21 @@ def sample_distinct_rows_excluding(
     if matrix.shape[1]:
         matrix += matrix >= np.asarray(exclude)[:, None]
     return matrix, valid
+
+
+def fresh_cells(cells: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Return the sorted, distinct entries of ``cells`` not yet set in ``held``.
+
+    ``held`` is a flat boolean mask over every cell (``replica * n + member``
+    in the batched engines) and ``cells`` indexes into it, duplicates
+    allowed.  The int64 result equals ``u = np.unique(cells); u[~held[u]]``
+    in values and ascending order, but costs one scatter into a
+    ``held.size`` scratch mask and one :func:`numpy.flatnonzero` instead of a
+    hash or sort.  The order matters: callers turn the result into the next
+    round's frontier, whose order fixes the RNG stream, so any other order
+    would change every seeded output.  Neither argument is modified.
+    """
+    mask = np.zeros(held.size, dtype=bool)
+    mask[cells] = True
+    mask &= ~held
+    return np.flatnonzero(mask)

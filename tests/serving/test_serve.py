@@ -80,6 +80,28 @@ class TestHandleRequest:
         )
         assert not response["ok"]
 
+    def test_seeded_live_fallback_repeats(self, surface):
+        # loss 0.3 lies outside the grid, so the answer comes from a live solve.
+        request = {
+            "op": "dimension",
+            "q": 0.9,
+            "loss": 0.3,
+            "target": 0.8,
+            "live_fallback": True,
+            "seed": 11,
+        }
+        first = handle_request(SurfaceQueryEngine(surface), request)
+        second = handle_request(SurfaceQueryEngine(surface), dict(request))
+        assert first["ok"] and first["source"] == "live"
+        assert first == second
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True, -1])
+    def test_invalid_seed_is_an_error(self, engine, seed):
+        request = {"op": "dimension", "q": 0.9, "target": 0.6, "seed": seed}
+        response = handle_request(engine, request)
+        assert not response["ok"]
+        assert "seed" in response["error"]
+
     def test_non_object_request(self, engine):
         assert not handle_request(engine, [1, 2, 3])["ok"]
 

@@ -662,6 +662,88 @@ class TestRL006Registry:
 
 
 # ---------------------------------------------------------------------------
+# RL007 — no np.unique dedup in the batched engines
+# ---------------------------------------------------------------------------
+
+
+class TestRL007NoUniqueDedup:
+    def test_unique_in_batch_hook_flagged(self, tmp_path: Path) -> None:
+        violations = lint_source(
+            tmp_path,
+            """
+            import numpy as np
+
+            class SlowProtocol:
+                def _disseminate_batch(
+                    self, n, alive, source, rng, network=None, churn=None, latency=None
+                ):
+                    cells = np.arange(4)
+                    fresh = np.unique(cells[alive.ravel()[cells]])
+                    return alive, fresh, 0, 0
+            """,
+            select=["RL007"],
+        )
+        assert codes(violations) == {"RL007"}
+        assert "fresh_cells" in violations[0].message
+        assert "_disseminate_batch" in violations[0].message
+
+    def test_unique_in_gossip_engine_flagged(self, tmp_path: Path) -> None:
+        violations = lint_source(
+            tmp_path,
+            """
+            import numpy
+
+            def simulate_gossip_batch(n, cells, received):
+                while True:
+                    unique_cells = numpy.unique(cells)
+                    return unique_cells[~received[unique_cells]]
+            """,
+            select=["RL007"],
+        )
+        assert codes(violations) == {"RL007"}
+
+    def test_unique_imported_from_numpy_flagged(self, tmp_path: Path) -> None:
+        violations = lint_source(
+            tmp_path,
+            """
+            from numpy import unique as dedup
+
+            class SlowProtocol:
+                def _disseminate_batch(self, n, alive, source, rng, **kwargs):
+                    return dedup(alive), 0, 0, 0
+            """,
+            select=["RL007"],
+        )
+        assert codes(violations) == {"RL007"}
+
+    def test_fresh_cells_and_scalar_references_clean(self, tmp_path: Path) -> None:
+        violations = lint_source(
+            tmp_path,
+            """
+            import numpy as np
+            from repro.utils.sampling import fresh_cells
+
+            def simulate_gossip_once(targets, received):
+                unique_targets = np.unique(targets)
+                return unique_targets[~received[unique_targets]]
+
+            class FastProtocol:
+                def _disseminate(self, n, alive, source, rng, network=None):
+                    return np.unique(alive), 0, 0
+
+                def _disseminate_batch(
+                    self, n, alive, source, rng, network=None, churn=None, latency=None
+                ):
+                    cells = np.arange(4)
+                    has_flat = np.zeros(alive.size, dtype=bool)
+                    return fresh_cells(cells, has_flat), 0, 0, 0
+            """,
+            select=["RL007"],
+        )
+        assert violations == []
+
+
+# ---------------------------------------------------------------------------
 # Engine: pragmas, markers, selection, rendering
 # ---------------------------------------------------------------------------
 
@@ -740,7 +822,15 @@ class TestEngine:
 
     def test_all_rules_have_unique_codes_and_summaries(self) -> None:
         rule_codes = [rule.code for rule in ALL_RULES]
-        assert sorted(rule_codes) == ["RL001", "RL002", "RL003", "RL004", "RL005", "RL006"]
+        assert sorted(rule_codes) == [
+            "RL001",
+            "RL002",
+            "RL003",
+            "RL004",
+            "RL005",
+            "RL006",
+            "RL007",
+        ]
         assert len(set(rule_codes)) == len(rule_codes)
         assert all(rule.summary for rule in ALL_RULES)
 
@@ -781,7 +871,7 @@ class TestCli:
     def test_list_rules(self) -> None:
         result = run_lint_cli("--list-rules")
         assert result.returncode == 0
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
             assert code in result.stdout
 
     def test_select_restricts_rules(self, tmp_path: Path) -> None:

@@ -8,6 +8,7 @@ __all__ = [
     "GENERATOR_METHODS",
     "dotted_name",
     "mentioned_names",
+    "numpy_aliases",
     "decorator_dataclass_call",
 ]
 
@@ -74,6 +75,17 @@ def dotted_name(node: ast.expr) -> str | None:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return None
+
+
+def numpy_aliases(tree: ast.Module) -> set[str]:
+    """Return the local names bound to the numpy module (``numpy``, ``np``...)."""
+    aliases: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    aliases.add(alias.asname or "numpy")
+    return aliases
 
 
 def mentioned_names(node: ast.AST) -> set[str]:

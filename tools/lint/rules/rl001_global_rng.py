@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.lint.asthelpers import dotted_name
+from tools.lint.asthelpers import dotted_name, numpy_aliases
 from tools.lint.engine import FileContext, Rule, Violation
 
 __all__ = ["GlobalRngRule"]
@@ -49,17 +49,6 @@ _SANCTIONED = frozenset(
 _WALL_CLOCK_SEEDS = frozenset({"time.time", "time.time_ns", "datetime.now", "datetime.utcnow"})
 
 
-def _numpy_aliases(tree: ast.Module) -> set[str]:
-    """Return the local names bound to the numpy module (``numpy``, ``np``...)."""
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy":
-                    aliases.add(alias.asname or "numpy")
-    return aliases
-
-
 def _stdlib_random_names(tree: ast.Module) -> tuple[set[str], set[str]]:
     """Return (module aliases of stdlib ``random``, names imported from it)."""
     modules: set[str] = set()
@@ -81,7 +70,7 @@ class GlobalRngRule(Rule):
     summary = "no global-RNG calls; all randomness flows through an explicit Generator"
 
     def check_file(self, context: FileContext) -> Iterator[Violation]:
-        numpy_names = _numpy_aliases(context.tree)
+        numpy_names = numpy_aliases(context.tree)
         random_modules, random_functions = _stdlib_random_names(context.tree)
         path = str(context.path)
         for node in ast.walk(context.tree):
