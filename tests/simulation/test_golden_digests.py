@@ -6,16 +6,21 @@ output bit-identical.  Distributional tests cannot see a change that keeps
 the statistics but reorders the RNG stream; these digests can.  Each case is
 a SHA-256 over the result arrays (cast to canonical dtypes, so the digest
 pins values rather than storage widths) of one run at n=2000, R=4, under
-three plane settings:
+four plane settings:
 
 * ``plain`` — no network, no churn;
 * ``loss`` — i.i.d. message loss 0.1 (constant unit latency);
-* ``planes`` — loss 0.1, exponential latency of mean 1, Poisson churn.
+* ``planes`` — loss 0.1, exponential latency of mean 1, Poisson churn;
+* ``ge-planes`` — a Gilbert–Elliott bursty channel with exponential latency
+  of mean 1, the same Poisson churn, and a round period of 0.5 (so a
+  unit-mean latency usually spans more than one round).
 
-The constants were recorded before the engines' dedup moved from
-``np.unique`` to :func:`repro.utils.sampling.fresh_cells` and must never be
-regenerated to make a change pass: a mismatch means the change altered the
-engine's output.
+The ``plain``/``loss``/``planes`` constants were recorded before the
+engines' dedup moved from ``np.unique`` to
+:func:`repro.utils.sampling.fresh_cells`; the ``ge-planes`` constants were
+recorded before the protocol hooks moved onto the shared transport layer.
+None may ever be regenerated to make a change pass: a mismatch means the
+change altered the engine's output.
 """
 
 from __future__ import annotations
@@ -29,7 +34,11 @@ from repro.core.distributions import PoissonFanout
 from repro.experiments.protocol_comparison import protocol_zoo
 from repro.simulation.churn import PoissonChurnModel
 from repro.simulation.gossip import simulate_gossip_batch
-from repro.simulation.network import NetworkModel, latency_exponential
+from repro.simulation.network import (
+    GilbertElliottNetworkModel,
+    NetworkModel,
+    latency_exponential,
+)
 from repro.simulation.protocol_batch import simulate_protocol_batch
 
 N, REPETITIONS, Q, SEED = 2000, 4, 0.9, 20_081
@@ -40,13 +49,25 @@ def _network(setting: str) -> NetworkModel | None:
         return None
     if setting == "loss":
         return NetworkModel(loss_probability=0.1)
+    if setting == "ge-planes":
+        return GilbertElliottNetworkModel(
+            loss_probability=0.05,
+            bad_loss_probability=0.6,
+            p_good_to_bad=0.2,
+            p_bad_to_good=0.4,
+            latency=latency_exponential(1.0),
+        )
     return NetworkModel(loss_probability=0.1, latency=latency_exponential(1.0))
 
 
 def _churn(setting: str) -> PoissonChurnModel | None:
-    if setting != "planes":
+    if setting not in ("planes", "ge-planes"):
         return None
     return PoissonChurnModel(0.005, 0.05, initially_absent=0.02)
+
+
+def _round_period(setting: str) -> float:
+    return 0.5 if setting == "ge-planes" else 1.0
 
 
 def _digest(*arrays: np.ndarray | None) -> str:
@@ -80,6 +101,7 @@ def gossip_digest(setting: str) -> str:
         seed=rng,
         network=_network(setting),
         churn=schedule,
+        round_period=_round_period(setting),
     )
     return _digest(
         result.delivered,
@@ -102,6 +124,7 @@ def protocol_digest(protocol_id: str, setting: str) -> str:
         seed=SEED,
         network=_network(setting),
         churn=_churn(setting),
+        round_period=_round_period(setting),
     )
     return _digest(
         result.delivered,
@@ -147,7 +170,23 @@ GOLDEN: dict[tuple[str, str], str] = {
     ("anti-entropy", "planes"): "754a1cda59ab2c1b4607514f253d4e718335ee00340234b6db0e5c918838bef7",
 }
 
-SETTINGS = ("plain", "loss", "planes")
+#: engine -> SHA-256 of the ``ge-planes`` setting, recorded before the protocol
+#: hooks moved onto the shared transport layer.
+GOLDEN_GE_PLANES: dict[str, str] = {
+    "gossip": "2affd3ceb743775f2dd17720e559924e393e4a1d62e8a42c5514c2562be52fa1",
+    "flooding": "a449583216526d2176046d40d5e8c2dc4df53180461cc48b519b832e60bb83e2",
+    "pbcast": "2bb55e3d8be1aedff957719f3d12b5fbac5d103f212dc3f7f0d1ca9c92ad177a",
+    "lpbcast": "451bc7798daaeacd0d8da58b7ac29922f445b66cdf8f58fd0a0e608388af0424",
+    "rdg": "e212f8b4ad9159bb978756dad1f3637400e0f13cec3b2c931ae2ba0453ba9c96",
+    "fixed-fanout": "82e1ed279a1529d2697b151f7a5ac59eba4492681483a39baece1775d21ae642",
+    "random-fanout": "b2a7844896fbd3c6af5c3991fb37a353c7055a8bedb3e5403551e5c30475167e",
+    "hyparview": "df37d6b727c93545452d3f2d91c8c544375d0594599d3a3a406761a321a836eb",
+    "lazy-push": "94419b023228ce1d1171ca25e1ac07911f2f7283689636fb26074e78908bc58f",
+    "anti-entropy": "f0195e2600c71e5c91baa8ddeb184566693a52d5c431707bb78207c15ab69ae7",
+}
+GOLDEN.update({(engine, "ge-planes"): digest for engine, digest in GOLDEN_GE_PLANES.items()})
+
+SETTINGS = ("plain", "loss", "planes", "ge-planes")
 PROTOCOL_IDS = tuple(
     protocol_id
     for protocol_id, _ in protocol_zoo(4, 8, include_peer_sampling=True, include_recovery=True)
