@@ -347,8 +347,7 @@ def _run_cell_batch(args: tuple) -> tuple:
 
     The :class:`~repro.simulation.churn.PoissonChurnModel` is built inside
     the worker from plain floats, mirroring the loss sweep's convention;
-    peer-sampling service stats are read back off the protocol instance
-    (each worker owns its own unpickled copy).
+    peer-sampling service stats come back on the result.
     """
     protocol, n, q, rate, initially_absent, seed, repetitions = args
     if rate == 0.0:
@@ -361,13 +360,12 @@ def _run_cell_batch(args: tuple) -> tuple:
         protocol, n, q, repetitions=repetitions, seed=seed, churn=model
     )
     reliability = result.reliability_among_survivors()
-    stats = getattr(protocol, "last_batch_stats", None)
     return (
         reliability.tolist(),
         result.survivor_fraction().tolist(),
         result.messages_per_member().tolist(),
         (reliability >= 1.0 - 1e-12).tolist(),
-        stats,
+        result.stats,
     )
 
 

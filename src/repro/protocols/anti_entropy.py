@@ -27,11 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import sample_group_targets_batch
+from repro.simulation.transport import BatchOutcome, Transport
 from repro.utils.validation import check_integer
 
 __all__ = ["AntiEntropyProtocol"]
@@ -52,7 +51,7 @@ class AntiEntropyProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
+        network: NetworkModel | None,
     ) -> tuple[np.ndarray, int, int, int]:
         has_message = np.zeros(n, dtype=bool)
         has_message[source] = True
@@ -95,17 +94,14 @@ class AntiEntropyProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
+        transport: Transport,
+    ) -> BatchOutcome:
         repetitions = int(alive.shape[0])
         has_message = np.zeros((repetitions, n), dtype=bool)
         has_message[:, source] = True
         has_flat = has_message.ravel()
         alive_flat = alive.ravel()
         messages = np.zeros(repetitions, dtype=np.int64)
-        dropped = np.zeros(repetitions, dtype=np.int64)
         rounds = np.zeros(repetitions, dtype=np.int64)
         control = np.zeros(repetitions, dtype=np.int64)
 
@@ -113,89 +109,50 @@ class AntiEntropyProtocol(Protocol):
         active = np.ones(repetitions, dtype=bool)
         round_index = 0
         for _ in range(self.rounds):
-            if latency is not None:
-                active = active | latency.pending_mask()
+            active = active | transport.pending_mask()
             active &= np.any(alive & ~has_message, axis=1)
             if not active.any():
                 break
             round_index += 1
+            transport.begin_round(round_index)
             rounds += active
-            present = present_flat = None
-            if churn is not None:
-                present = churn.present_at(round_index)
-                present_flat = present.ravel()
-            participants = alive & active[:, None]
-            if present is not None:
-                participants &= present
-            rep_idx, mem_idx = np.nonzero(participants)
-            if rep_idx.size == 0 and latency is None:
-                continue
+            rep_idx, mem_idx = np.nonzero(transport.present(alive & active[:, None]))
             snapshot_flat = has_flat.copy()
+            cells, target_replica = sample_group_targets_batch(n, rep_idx, mem_idx, fanout, rng)
+            sender_cells = np.repeat(rep_idx * n + mem_idx, fanout)
+            digest_counts = np.bincount(target_replica, minlength=repetitions)
+            messages += digest_counts  # digests
+            control += digest_counts
             if rep_idx.size:
-                cells, target_replica = sample_group_targets_batch(
-                    n, rep_idx, mem_idx, fanout, rng
-                )
-                sender_cells = np.repeat(rep_idx * n + mem_idx, fanout)
-                digest_counts = np.bincount(target_replica, minlength=repetitions)
-                messages += digest_counts  # digests
-                control += digest_counts
-                if network is not None:
-                    keep, dropped_leg = network.draw_loss_batch(
-                        rng, target_replica, repetitions
-                    )
-                    dropped += dropped_leg
-                    cells = cells[keep]
-                    sender_cells = sender_cells[keep]
-                    target_replica = target_replica[keep]
-            else:
-                cells = np.empty(0, dtype=np.int64)
-                sender_cells = np.empty(0, dtype=np.int64)
-            digest_times = None
-            if latency is not None:
-                # Digests ride the latency plane, each carrying its sender;
-                # a slow digest reconciles the pair's states in the round it
-                # lands (anti-entropy compares states at exchange time).
-                cells, digest_times, sender_cells = latency.schedule(
-                    round_index - 1, cells, rng, channel="digest", aux=sender_cells
-                )
-                target_replica = cells // n
-            if present_flat is not None:
-                # Digests to absent peers are wasted sends, not drops.
-                in_group = present_flat[cells]
-                cells = cells[in_group]
-                sender_cells = sender_cells[in_group]
-                target_replica = target_replica[in_group]
-                if digest_times is not None:
-                    digest_times = digest_times[in_group]
-            reconciling = alive_flat[cells]
-            cells = cells[reconciling]
-            sender_cells = sender_cells[reconciling]
-            target_replica = target_replica[reconciling]
-            if digest_times is not None:
-                digest_times = digest_times[reconciling]
-            # Transfer whenever exactly one side held the payload at round
-            # start: push to the peer, or pull back to the initiator.
-            transfer = snapshot_flat[sender_cells] != snapshot_flat[cells]
-            cells = cells[transfer]
-            sender_cells = sender_cells[transfer]
-            target_replica = target_replica[transfer]
-            if digest_times is not None:
-                digest_times = digest_times[transfer]
-            if cells.size == 0:
+                keep = transport.lose(target_replica)
+                cells = cells[keep]
+                sender_cells = sender_cells[keep]
+            # Digests ride the latency plane, each carrying its sender; a slow
+            # digest reconciles the pair's states in the round it lands
+            # (anti-entropy compares states at exchange time).  Digests to
+            # absent peers are wasted sends, not drops.
+            cells, digest_times, sender_cells = transport.land(
+                cells, channel="digest", aux=sender_cells
+            )
+            # Transfer whenever a nonfailed peer and its initiator disagree
+            # at round start: push to the peer, or pull back to the initiator.
+            exchange = np.flatnonzero(
+                alive_flat[cells] & (snapshot_flat[sender_cells] != snapshot_flat[cells])
+            )
+            if exchange.size == 0:
                 continue
+            cells = cells[exchange]
+            sender_cells = sender_cells[exchange]
             recipients = np.where(snapshot_flat[sender_cells], cells, sender_cells)
+            target_replica = cells // n
             messages += np.bincount(target_replica, minlength=repetitions)  # transfers
-            if network is not None:
-                keep, dropped_leg = network.draw_loss_batch(rng, target_replica, repetitions)
-                dropped += dropped_leg
-                recipients = recipients[keep]
-                if digest_times is not None:
-                    digest_times = digest_times[keep]
-            if latency is not None:
-                # The payload lands one transfer leg after the digest's
-                # arrival instant (push and pull transfers alike).
-                times = digest_times + latency.draw(rng, recipients.size)
-                fresh_mask = ~has_flat[recipients]
-                latency.record(recipients[fresh_mask], times[fresh_mask])
-            has_flat[recipients] = True
-        return has_message, messages, dropped, rounds, control
+            keep = transport.lose(target_replica)
+            # The payload lands one transfer leg after the digest's arrival
+            # instant (push and pull transfers alike).
+            transport.book(
+                recipients[keep],
+                transport.reply(digest_times, exchange[keep]),
+                has_flat,
+                alive_flat,
+            )
+        return BatchOutcome(has_message, messages, transport.dropped, rounds, control=control)

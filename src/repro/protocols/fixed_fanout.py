@@ -13,11 +13,10 @@ import numpy as np
 
 from repro.core.distributions import FixedFanout
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
 from repro.simulation.gossip import simulate_gossip_batch
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
+from repro.simulation.transport import BatchOutcome, Transport
 from repro.utils.validation import check_integer
 
 __all__ = ["FixedFanoutGossip"]
@@ -37,8 +36,8 @@ class FixedFanoutGossip(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int]:
+        network: NetworkModel | None,
+    ) -> tuple[np.ndarray, int, int, int]:
         received = np.zeros(n, dtype=bool)
         delivered = np.zeros(n, dtype=bool)
         received[source] = True
@@ -65,7 +64,7 @@ class FixedFanoutGossip(Protocol):
             newly_alive = fresh[alive[fresh]]
             delivered[newly_alive] = True
             frontier = newly_alive
-        return delivered, messages, rounds
+        return delivered, messages, rounds, 0
 
     def _disseminate_batch(
         self,
@@ -73,10 +72,8 @@ class FixedFanoutGossip(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
+        transport: Transport,
+    ) -> BatchOutcome:
         # The constant-fanout push process IS the paper's algorithm with a
         # degenerate distribution, so the batched gossip engine does all the
         # work; failures arrive through the pre-drawn alive masks, message
@@ -90,8 +87,10 @@ class FixedFanoutGossip(Protocol):
             source=source,
             seed=rng,
             alive=alive,
-            network=network,
-            churn=churn,
-            latency=latency,
+            network=transport.network,
+            churn=transport.churn,
+            latency=transport.latency,
         )
-        return result.delivered, result.messages_sent, result.messages_dropped, result.rounds
+        return BatchOutcome(
+            result.delivered, result.messages_sent, result.messages_dropped, result.rounds
+        )

@@ -24,11 +24,10 @@ import numpy as np
 from scipy import sparse
 
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
-from repro.utils.sampling import fresh_cells, sample_distinct_rows_excluding
+from repro.simulation.transport import BatchOutcome, Transport
+from repro.utils.sampling import sample_distinct_rows_excluding
 from repro.utils.validation import check_integer
 
 __all__ = ["FloodingProtocol"]
@@ -48,8 +47,8 @@ class FloodingProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int]:
+        network: NetworkModel | None,
+    ) -> tuple[np.ndarray, int, int, int]:
         # Build the overlay: each member picks `degree` neighbours; links are
         # symmetric, so the adjacency is the union of both directions.
         neighbours: list[set[int]] = [set() for _ in range(n)]
@@ -81,7 +80,7 @@ class FloodingProtocol(Protocol):
                         if alive[peer]:
                             next_frontier.append(peer)
             frontier = next_frontier
-        return delivered, messages, rounds
+        return delivered, messages, rounds, 0
 
     def _disseminate_batch(
         self,
@@ -89,10 +88,8 @@ class FloodingProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
+        transport: Transport,
+    ) -> BatchOutcome:
         repetitions = int(alive.shape[0])
         cells = repetitions * n
         degree = min(self.degree, n - 1)
@@ -126,26 +123,21 @@ class FloodingProtocol(Protocol):
         delivered = np.zeros(cells, dtype=bool)
         alive_flat = alive.ravel()
         messages = np.zeros(repetitions, dtype=np.int64)
-        dropped = np.zeros(repetitions, dtype=np.int64)
         rounds = np.zeros(repetitions, dtype=np.int64)
 
         frontier = np.arange(repetitions, dtype=np.int64) * n + source
         delivered[frontier] = True
         round_index = 0
-        while frontier.size or (latency is not None and latency.has_pending()):
+        while frontier.size or transport.has_pending():
             round_index += 1
-            present_flat = None
-            if churn is not None:
-                # Members that left the group stop flooding their links.
-                present_flat = churn.present_at(round_index).ravel()
-                frontier = frontier[present_flat[frontier]]
-                if not frontier.size and (latency is None or not latency.has_pending()):
-                    break
+            transport.begin_round(round_index)
+            # Members that left the group stop flooding their links.
+            frontier = frontier[transport.in_group(frontier)]
+            if not frontier.size and not transport.has_pending():
+                break
+            # Waves still in flight keep their replica's clock running.
             active = np.bincount(frontier // n, minlength=repetitions) > 0
-            if latency is not None:
-                # Waves still in flight keep their replica's clock running.
-                active |= latency.pending_mask()
-            rounds += active
+            rounds += active | transport.pending_mask()
             targets = np.zeros(0, dtype=np.int64)
             if frontier.size:
                 frontier_replica = frontier // n
@@ -162,31 +154,11 @@ class FloodingProtocol(Protocol):
                         + np.repeat(indptr[frontier], fanout)
                     )
                     targets = arc_dst[positions].astype(np.int64, copy=False)
-                    if network is not None:
-                        # Thin the wave: each link transmission is dropped
-                        # independently; a dropped arc is never retried
-                        # (flooding forwards on every link exactly once).
-                        keep, dropped_round = network.draw_loss_batch(
-                            rng, targets // n, repetitions
-                        )
-                        dropped += dropped_round
-                        targets = targets[keep]
-                    if present_flat is not None:
-                        # Links into currently-absent peers waste the send:
-                        # counted as sent above, but never booked as drops.
-                        targets = targets[present_flat[targets]]
-            if latency is not None:
-                # Per-link latency draws; slow links re-emerge as matured
-                # arrivals in a later round (re-checked against that round's
-                # churn view).
-                targets, times, _ = latency.schedule(round_index - 1, targets, rng)
-                if present_flat is not None and targets.size:
-                    keep = present_flat[targets]
-                    targets = targets[keep]
-                    times = times[keep]
-                fresh_mask = ~delivered[targets]
-                latency.record(targets[fresh_mask], times[fresh_mask])
-            fresh = fresh_cells(targets, delivered)
-            delivered[fresh] = True
-            frontier = fresh[alive_flat[fresh]]
-        return delivered.reshape(repetitions, n), messages, dropped, rounds
+            # A dropped arc is never retried (flooding forwards on every link
+            # exactly once); links into absent peers waste the send.  Slow
+            # links re-emerge as matured arrivals in a later round.
+            targets, times = transport.push(targets, targets // n)
+            frontier = transport.book(targets, times, delivered, alive_flat)
+        return BatchOutcome(
+            delivered.reshape(repetitions, n), messages, transport.dropped, rounds
+        )

@@ -26,8 +26,8 @@ shuffling view".  Under churn the repair path is what separates it from a
 static partial view: the ``churn_resilience`` experiment checks it degrades
 no faster than lpbcast's frozen views.
 
-The batched hook also measures the membership service itself and stores the
-results on ``last_batch_stats``:
+The batched hook also measures the membership service itself and reports the
+measurements as the batch result's ``stats``:
 
 * ``view_staleness`` — mean fraction of in-group members' active-view slots
   pointing at absent peers, per round (before repairs);
@@ -41,15 +41,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
-from repro.utils.sampling import (
-    fresh_cells,
-    sample_distinct_rows,
-    sample_distinct_rows_excluding,
-)
+from repro.simulation.transport import BatchOutcome, Transport
+from repro.utils.sampling import sample_distinct_rows, sample_distinct_rows_excluding
 from repro.utils.validation import check_integer
 
 __all__ = ["HyParViewProtocol"]
@@ -73,10 +68,6 @@ class HyParViewProtocol(Protocol):
         self.active_size = check_integer("active_size", active_size, minimum=1)
         self.passive_size = check_integer("passive_size", passive_size, minimum=1)
         self.shuffle_interval = check_integer("shuffle_interval", shuffle_interval, minimum=1)
-        #: membership-service measurements of the last batched run (dict with
-        #: ``view_staleness``, ``repairs``, ``repair_latency``) — ``None``
-        #: until ``_disseminate_batch`` executes.
-        self.last_batch_stats: dict | None = None
 
     def _draw_views(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Draw one member's initial (active, passive) view rows."""
@@ -90,8 +81,8 @@ class HyParViewProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int]:
+        network: NetworkModel | None,
+    ) -> tuple[np.ndarray, int, int, int]:
         active_size = min(self.active_size, n - 1)
         passive_size = min(self.passive_size, n - 1)
         fanout = min(self.fanout, active_size)
@@ -135,7 +126,7 @@ class HyParViewProtocol(Protocol):
                         active_view[member, slot],
                     )
                     messages += 1
-        return has_message, messages, rounds_executed
+        return has_message, messages, rounds_executed, 0
 
     def _disseminate_batch(
         self,
@@ -143,10 +134,8 @@ class HyParViewProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
+        transport: Transport,
+    ) -> BatchOutcome:
         repetitions = int(alive.shape[0])
         active_size = min(self.active_size, n - 1)
         passive_size = min(self.passive_size, n - 1)
@@ -172,7 +161,6 @@ class HyParViewProtocol(Protocol):
         has_flat = has_message.ravel()
         alive_flat = alive.ravel()
         messages = np.zeros(repetitions, dtype=np.int64)
-        dropped = np.zeros(repetitions, dtype=np.int64)
         rounds = np.zeros(repetitions, dtype=np.int64)
 
         staleness: list[float] = []
@@ -180,30 +168,26 @@ class HyParViewProtocol(Protocol):
         stale_slot_rounds = 0
         active = np.ones(repetitions, dtype=bool)
         for round_index in range(1, self.rounds + 1):
-            if latency is not None:
-                # Pushes still in flight keep their replica's clock running.
-                active = active | latency.pending_mask()
+            # Pushes still in flight keep their replica's clock running.
+            active = active | transport.pending_mask()
             if not active.any():
                 break
-            present = present_flat = None
-            if churn is not None:
-                present = churn.present_at(round_index)
-                present_flat = present.ravel()
-                # Staleness is measured over the active-view slots of
-                # in-group nonfailed members, before this round's repairs.
-                rep_m, mem_m = np.nonzero(alive & present)
-                if rep_m.size:
-                    slots_view = active_view[rep_m, mem_m]
-                    stale = ~present[rep_m[:, None], slots_view]
-                    staleness.append(float(stale.mean()))
-                    stale_slot_rounds += int(stale.sum())
+            transport.begin_round(round_index)
+            # Staleness is measured over the active-view slots of in-group
+            # nonfailed members, before this round's repairs.
+            rep_m, mem_m = np.nonzero(transport.present(alive))
+            if rep_m.size:
+                slot_cells = active_view[rep_m, mem_m]
+                slot_cells += rep_m[:, None] * n  # in place: this gather is R·n·active_size
+                stale = ~transport.in_group(slot_cells)
+                staleness.append(float(stale.mean()))
+                stale_slot_rounds += int(stale.sum())
             rounds += active
-            holders = has_message & alive & active[:, None]
-            if present is not None:
-                holders &= present
+            holders = transport.present(has_message & alive & active[:, None])
             active &= holders.any(axis=1)
             rep_idx, mem_idx = np.nonzero(holders & active[:, None])
-            landed = np.empty(0, dtype=np.int64)
+            cells = np.empty(0, dtype=np.int64)
+            target_replica = cells
             if rep_idx.size:
                 slot_idx, _ = sample_distinct_rows(
                     rng, active_size, np.full(rep_idx.size, fanout, dtype=np.int64)
@@ -215,55 +199,29 @@ class HyParViewProtocol(Protocol):
                 target_replica = np.repeat(rep_idx, fanout)
                 messages += np.bincount(target_replica, minlength=repetitions)
                 cells = target_replica * n + targets
-                arrived = np.ones(cells.size, dtype=bool)
-                if present_flat is not None:
-                    # A send to a departed peer fails like a broken TCP link:
-                    # the sender detects it (independently of message loss)
-                    # and promotes a random passive entry into that slot.
-                    broken = ~present_flat[cells]
-                    if broken.any():
-                        b_idx = np.flatnonzero(broken)
-                        b_rep = target_replica[b_idx]
-                        b_mem = np.repeat(mem_idx, fanout)[b_idx]
-                        b_slot = slot_idx.ravel()[b_idx]
-                        promoted = rng.integers(passive_size, size=b_idx.size)
-                        active_view[b_rep, b_mem, b_slot] = passive_view[
-                            b_rep, b_mem, promoted
-                        ]
-                        repairs += int(b_idx.size)
-                        arrived &= ~broken
-                if network is not None:
-                    keep, dropped_round = network.draw_loss_batch(
-                        rng, target_replica, repetitions
-                    )
-                    dropped += dropped_round
-                    arrived &= keep
-                landed = cells[arrived]
-            if latency is not None:
-                # Per-push latency draws; slow pushes land in the round they
-                # mature (re-checked against that round's churn view).  Link
-                # repair and shuffling are the membership service's local
-                # bookkeeping and stay untimed.
-                landed, push_times, _ = latency.schedule(round_index - 1, landed, rng)
-                if present_flat is not None and landed.size:
-                    keep = present_flat[landed]
-                    landed = landed[keep]
-                    push_times = push_times[keep]
-                fresh_mask = alive_flat[landed] & ~has_flat[landed]
-                latency.record(landed[fresh_mask], push_times[fresh_mask])
-            if landed.size:
-                fresh = fresh_cells(landed[alive_flat[landed]], has_flat)
-                has_flat[fresh] = True
-                if latency is not None:
-                    # A matured push can hand the message to a replica whose
-                    # holders had all departed; the new holder re-activates it.
-                    active = active | (np.bincount(fresh // n, minlength=repetitions) > 0)
+                # A send to a departed peer fails like a broken TCP link: the
+                # sender detects it (independently of message loss) and
+                # promotes a random passive entry into that slot.
+                b_idx = np.flatnonzero(~transport.in_group(cells))
+                if b_idx.size:
+                    b_rep = target_replica[b_idx]
+                    b_mem = np.repeat(mem_idx, fanout)[b_idx]
+                    b_slot = slot_idx.ravel()[b_idx]
+                    promoted = rng.integers(passive_size, size=b_idx.size)
+                    active_view[b_rep, b_mem, b_slot] = passive_view[b_rep, b_mem, promoted]
+                    repairs += int(b_idx.size)
+            # Link repair and shuffling are the membership service's local
+            # bookkeeping and stay untimed.
+            cells, times = transport.push(cells, target_replica)
+            fresh = transport.book(cells, times, has_flat, alive_flat)
+            # A matured push can hand the message to a replica whose holders
+            # had all departed; the new holder re-activates it.
+            active = active | (np.bincount(fresh // n, minlength=repetitions) > 0)
             # Periodic shuffle: every in-group nonfailed member swaps one
             # random active slot with one random passive entry, at one
             # control message each.
             if round_index % self.shuffle_interval == 0:
-                participants = alive if present is None else alive & present
-                rep_s, mem_s = np.nonzero(participants)
+                rep_s, mem_s = np.nonzero(transport.present(alive))
                 if rep_s.size:
                     slot = rng.integers(active_size, size=rep_s.size)
                     pick = rng.integers(passive_size, size=rep_s.size)
@@ -272,15 +230,11 @@ class HyParViewProtocol(Protocol):
                     passive_view[rep_s, mem_s, pick] = swapped_out
                     messages += np.bincount(rep_s, minlength=repetitions)
 
-        if latency is not None:
-            # Pushes still in flight at the horizon arrive anyway.
-            cells, times, _ = latency.drain()
-            fresh_mask = alive_flat[cells] & ~has_flat[cells]
-            latency.record(cells[fresh_mask], times[fresh_mask])
-            has_flat[cells[fresh_mask]] = True
-        self.last_batch_stats = {
+        # Pushes still in flight at the horizon arrive anyway.
+        transport.drain(has_flat, alive_flat)
+        stats = {
             "view_staleness": float(np.mean(staleness)) if staleness else 0.0,
             "repairs": int(repairs),
             "repair_latency": (stale_slot_rounds / repairs) if repairs else 0.0,
         }
-        return has_message, messages, dropped, rounds
+        return BatchOutcome(has_message, messages, transport.dropped, rounds, stats=stats)

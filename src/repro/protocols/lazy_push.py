@@ -38,12 +38,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import sample_group_targets_batch
-from repro.utils.sampling import fresh_cells
+from repro.simulation.transport import BatchOutcome, Transport
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = ["LazyPushProtocol"]
@@ -69,10 +67,6 @@ class LazyPushProtocol(Protocol):
             "ihave_fanout", self.fanout if ihave_fanout is None else ihave_fanout, minimum=1
         )
         self.retry_budget = check_integer("retry_budget", retry_budget, minimum=0)
-        #: populated by ``_disseminate_batch``: recovery-plane bookkeeping of
-        #: the last batched run ({"iwants_sent", "recoveries",
-        #: "budget_exhausted"}), for tests and experiment harvesting.
-        self.last_batch_stats: dict | None = None
 
     def _disseminate(
         self,
@@ -80,7 +74,7 @@ class LazyPushProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
+        network: NetworkModel | None,
     ) -> tuple[np.ndarray, int, int, int]:
         has_message = np.zeros(n, dtype=bool)
         has_message[source] = True
@@ -155,10 +149,8 @@ class LazyPushProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
+        transport: Transport,
+    ) -> BatchOutcome:
         repetitions = int(alive.shape[0])
         has_message = np.zeros((repetitions, n), dtype=bool)
         has_message[:, source] = True
@@ -169,7 +161,6 @@ class LazyPushProtocol(Protocol):
         advertiser = np.full((repetitions, n), -1, dtype=np.int64)
         adv_flat = advertiser.ravel()
         messages = np.zeros(repetitions, dtype=np.int64)
-        dropped = np.zeros(repetitions, dtype=np.int64)
         rounds = np.zeros(repetitions, dtype=np.int64)
         control = np.zeros(repetitions, dtype=np.int64)
         iwants_sent = 0
@@ -184,18 +175,12 @@ class LazyPushProtocol(Protocol):
             if not active.any():
                 break
             round_index += 1
+            transport.begin_round(round_index)
             rounds += active
-            present = present_flat = None
-            if churn is not None:
-                present = churn.present_at(round_index)
-                present_flat = present.ravel()
             # ---------------------------------------------- recovery leg
+            # Absent members cannot send IWANTs this round.
             pending = (advertiser >= 0) & alive & ~has_message & (budget > 0)
-            pending &= active[:, None]
-            if present is not None:
-                # Absent members cannot send IWANTs this round.
-                pending &= present
-            rep_w, mem_w = np.nonzero(pending)
+            rep_w, mem_w = np.nonzero(transport.present(pending & active[:, None]))
             adv_targets = advertiser[rep_w, mem_w]
             # Every armed advertisement times out after one round, fired or
             # not; re-arming requires a fresh digest (matches the scalar
@@ -207,128 +192,75 @@ class LazyPushProtocol(Protocol):
                 messages += iwant_counts  # IWANTs
                 control += iwant_counts
                 iwants_sent += int(rep_w.size)
-                keep = np.ones(rep_w.size, dtype=bool)
-                if network is not None:
-                    keep, dropped_leg = network.draw_loss_batch(rng, rep_w, repetitions)
-                    dropped += dropped_leg
+                keep = transport.lose(rep_w)
                 # A departed (or failed) holder stops answering IWANTs.
                 adv_cells = rep_w * n + adv_targets
                 answer = keep & alive_flat[adv_cells] & has_flat[adv_cells]
-                if present_flat is not None:
-                    answer &= present_flat[adv_cells]
+                answer &= transport.in_group(adv_cells)
                 resp_rep = rep_w[answer]
                 resp_mem = mem_w[answer]
                 if resp_rep.size:
                     messages += np.bincount(resp_rep, minlength=repetitions)  # payload answers
-                    keep2 = np.ones(resp_rep.size, dtype=bool)
-                    if network is not None:
-                        keep2, dropped_leg = network.draw_loss_batch(
-                            rng, resp_rep, repetitions
-                        )
-                        dropped += dropped_leg
-                    got_cells = resp_rep[keep2] * n + resp_mem[keep2]
-                    has_flat[got_cells] = True
+                    keep = transport.lose(resp_rep)
+                    got_cells = resp_rep[keep] * n + resp_mem[keep]
                     recoveries += int(got_cells.size)
-                    if latency is not None:
-                        # IWANT + payload answer is an intra-round round
-                        # trip: the payload lands a request leg plus a
-                        # response leg after the round's send instant.
-                        latency.record(
-                            got_cells,
-                            latency.send_time(round_index - 1)
-                            + latency.draw(rng, got_cells.size)
-                            + latency.draw(rng, got_cells.size),
-                        )
+                    # IWANT + payload answer is an intra-round round trip:
+                    # the payload lands a request leg plus a response leg
+                    # after the round's send instant.
+                    transport.book(
+                        got_cells, transport.round_trip(got_cells.size), has_flat, alive_flat
+                    )
             # ----------------------------------------- dissemination leg
             fractions = has_message.sum(axis=1) / n
             eager = active & (fractions < self.eager_threshold)
-            holders = has_message & alive & active[:, None]
-            if present is not None:
-                holders &= present
+            holders = transport.present(has_message & alive & active[:, None])
             rep_e, mem_e = np.nonzero(holders & eager[:, None])
-            cells = np.empty(0, dtype=np.int64)
-            if rep_e.size:
-                cells, target_replica = sample_group_targets_batch(
-                    n, rep_e, mem_e, eager_fanout, rng
-                )
-                messages += np.bincount(target_replica, minlength=repetitions)
-                if network is not None:
-                    keep, dropped_leg = network.draw_loss_batch(
-                        rng, target_replica, repetitions
-                    )
-                    dropped += dropped_leg
-                    cells = cells[keep]
-                if present_flat is not None:
-                    cells = cells[present_flat[cells]]
-            if latency is not None:
-                # Per-push latency draws; slow pushes land in the round
-                # they mature (re-checked against that round's churn view).
-                cells, push_times, _ = latency.schedule(round_index - 1, cells, rng)
-                if present_flat is not None and cells.size:
-                    keep = present_flat[cells]
-                    cells = cells[keep]
-                    push_times = push_times[keep]
-                fresh_mask = alive_flat[cells] & ~has_flat[cells]
-                latency.record(cells[fresh_mask], push_times[fresh_mask])
-            if cells.size:
-                fresh = fresh_cells(cells[alive_flat[cells]], has_flat)
-                has_flat[fresh] = True
+            cells, target_replica = sample_group_targets_batch(
+                n, rep_e, mem_e, eager_fanout, rng
+            )
+            messages += np.bincount(target_replica, minlength=repetitions)
+            cells, times = transport.push(cells, target_replica)
+            transport.book(cells, times, has_flat, alive_flat)
             rep_l, mem_l = np.nonzero(holders & ~eager[:, None])
-            cells = np.empty(0, dtype=np.int64)
-            senders = np.empty(0, dtype=np.int64)
+            cells, target_replica = sample_group_targets_batch(
+                n, rep_l, mem_l, ihave_fanout, rng
+            )
+            senders = np.repeat(mem_l, ihave_fanout)
+            digest_counts = np.bincount(target_replica, minlength=repetitions)
+            messages += digest_counts  # IHAVE digests
+            control += digest_counts
             if rep_l.size:
-                cells, target_replica = sample_group_targets_batch(
-                    n, rep_l, mem_l, ihave_fanout, rng
-                )
-                senders = np.repeat(mem_l, ihave_fanout)
-                digest_counts = np.bincount(target_replica, minlength=repetitions)
-                messages += digest_counts  # IHAVE digests
-                control += digest_counts
-                if network is not None:
-                    keep, dropped_leg = network.draw_loss_batch(
-                        rng, target_replica, repetitions
-                    )
-                    dropped += dropped_leg
-                    cells = cells[keep]
-                    senders = senders[keep]
-            if latency is not None:
-                # IHAVE digests ride the latency plane, each carrying its
-                # advertising sender; a slow digest arms its target in the
-                # round it lands (so the IWANT fires the round after that).
-                cells, _, senders = latency.schedule(
-                    round_index - 1, cells, rng, channel="digest", aux=senders
-                )
-            if cells.size or latency is not None:
-                if present_flat is not None:
-                    # Digests to absent members are wasted sends, not drops.
-                    in_group = present_flat[cells]
-                    cells = cells[in_group]
-                    senders = senders[in_group]
-                receptive = alive_flat[cells] & ~has_flat[cells] & (budget_flat[cells] > 0)
-                cells = cells[receptive]
-                senders = senders[receptive]
-                if cells.size:
-                    # One advertiser per receiving member, uniform among the
-                    # digests that arrived: random sort keys within each
-                    # cell, then take the first digest per cell.
-                    keys = rng.random(cells.size)
-                    order = np.lexsort((keys, cells))
-                    cells_sorted = cells[order]
-                    senders_sorted = senders[order]
-                    first = np.ones(cells_sorted.size, dtype=bool)
-                    first[1:] = cells_sorted[1:] != cells_sorted[:-1]
-                    adv_flat[cells_sorted[first]] = senders_sorted[first]
-        if latency is not None:
-            # Eager pushes still in flight at the horizon arrive anyway;
-            # in-flight IHAVE digests die with the protocol (the IWANT they
-            # would provoke is never sent).
-            cells, times, _ = latency.drain()
-            fresh_mask = alive_flat[cells] & ~has_flat[cells]
-            latency.record(cells[fresh_mask], times[fresh_mask])
-            has_flat[cells[fresh_mask]] = True
-        self.last_batch_stats = {
+                keep = transport.lose(target_replica)
+                cells = cells[keep]
+                senders = senders[keep]
+            # IHAVE digests ride the latency plane, each carrying its
+            # advertising sender; a slow digest arms its target in the round
+            # it lands (so the IWANT fires the round after that).  Digests
+            # to absent members are wasted sends, not drops.
+            cells, _, senders = transport.land(cells, channel="digest", aux=senders)
+            receptive = alive_flat[cells] & ~has_flat[cells] & (budget_flat[cells] > 0)
+            cells = cells[receptive]
+            senders = senders[receptive]
+            if cells.size:
+                # One advertiser per receiving member, uniform among the
+                # digests that arrived: random sort keys within each cell,
+                # then take the first digest per cell.
+                keys = rng.random(cells.size)
+                order = np.lexsort((keys, cells))
+                cells_sorted = cells[order]
+                senders_sorted = senders[order]
+                first = np.ones(cells_sorted.size, dtype=bool)
+                first[1:] = cells_sorted[1:] != cells_sorted[:-1]
+                adv_flat[cells_sorted[first]] = senders_sorted[first]
+        # Eager pushes still in flight at the horizon arrive anyway; in-flight
+        # IHAVE digests die with the protocol (the IWANT they would provoke
+        # is never sent).
+        transport.drain(has_flat, alive_flat)
+        stats = {
             "iwants_sent": int(iwants_sent),
             "recoveries": int(recoveries),
             "budget_exhausted": int(np.count_nonzero(alive & ~has_message & (budget <= 0))),
         }
-        return has_message, messages, dropped, rounds, control
+        return BatchOutcome(
+            has_message, messages, transport.dropped, rounds, control=control, stats=stats
+        )

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from repro.core.distributions import FanoutDistribution
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
 from repro.simulation.failures import FailurePattern
 from repro.simulation.gossip import simulate_gossip_batch, simulate_gossip_once
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.network import NetworkModel
+from repro.simulation.transport import BatchOutcome, Transport
 
 __all__ = ["RandomFanoutGossip"]
 
@@ -37,8 +36,8 @@ class RandomFanoutGossip(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int]:
+        network: NetworkModel | None,
+    ) -> tuple[np.ndarray, int, int, int]:
         import numpy as np
 
         pattern = FailurePattern(alive=alive, timing=np.full(n, None, dtype=object))
@@ -51,7 +50,7 @@ class RandomFanoutGossip(Protocol):
             failure_pattern=pattern,
             network=network,
         )
-        return execution.delivered, execution.messages_sent, execution.rounds
+        return execution.delivered, execution.messages_sent, execution.rounds, 0
 
     def _disseminate_batch(
         self,
@@ -59,10 +58,8 @@ class RandomFanoutGossip(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
+        transport: Transport,
+    ) -> BatchOutcome:
         result = simulate_gossip_batch(
             n,
             self.distribution,
@@ -71,8 +68,10 @@ class RandomFanoutGossip(Protocol):
             source=source,
             seed=rng,
             alive=alive,
-            network=network,
-            churn=churn,
-            latency=latency,
+            network=transport.network,
+            churn=transport.churn,
+            latency=transport.latency,
         )
-        return result.delivered, result.messages_sent, result.messages_dropped, result.rounds
+        return BatchOutcome(
+            result.delivered, result.messages_sent, result.messages_dropped, result.rounds
+        )

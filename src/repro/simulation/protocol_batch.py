@@ -18,9 +18,11 @@ This module extends that treatment from the paper's algorithm to **every**
   with batched view sampling, RDG = batched push masks + pull masks per
   round), while the base class provides a scalar-replay fallback so any
   external subclass works unbatched;
-* an optional :class:`~repro.simulation.network.NetworkModel` adds the
-  vectorised message-loss plane: each round's flat send list is thinned with
-  one independent Bernoulli draw
+* the loss, churn and latency planes reach every hook through one
+  :class:`~repro.simulation.transport.Transport` built here, and every hook
+  returns a :class:`~repro.simulation.transport.BatchOutcome`; an optional
+  :class:`~repro.simulation.network.NetworkModel` thins each round's flat
+  send list with one independent Bernoulli draw
   (:meth:`~repro.simulation.network.NetworkModel.draw_loss_batch`) and the
   per-replica ``messages_sent`` / ``messages_dropped`` accounting surfaces on
   :class:`BatchProtocolResult`;
@@ -36,9 +38,8 @@ and every protocol consumes the same target-drawing law.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from repro.simulation.failures import (
 )
 from repro.simulation.latency import DeliveryTimePlane, delivery_percentiles
 from repro.simulation.network import NetworkModel
+from repro.simulation.transport import Transport
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.sampling import sample_distinct_rows_excluding
 from repro.utils.validation import check_integer, check_probability
@@ -108,9 +110,12 @@ class BatchProtocolResult:
     delivery_times:
         Optional ``(R, n)`` float array of first-receipt times on the round
         clock (``inf`` where undelivered).  Present when the batch ran with
-        a network model *and* the protocol's batched hook supports the
-        latency plane; ``None`` otherwise (notably for scalar-replay
-        fallbacks, which honestly report that no times were tracked).
+        a network model; ``None`` otherwise, and for the scalar-replay
+        fallback, which tracks no times.
+    stats:
+        Optional protocol-specific measurements of the run (HyParView's view
+        repairs, lazy-push's IWANT bookkeeping); ``None`` for protocols that
+        report none.
     """
 
     protocol: str
@@ -125,6 +130,7 @@ class BatchProtocolResult:
     present: np.ndarray | None = None
     control_messages_sent: np.ndarray | None = None
     delivery_times: np.ndarray | None = None
+    stats: dict[str, Any] | None = None
 
     @property
     def repetitions(self) -> int:
@@ -213,7 +219,7 @@ class BatchProtocolResult:
         if self.delivery_times is None:
             raise ValueError(
                 "no delivery times recorded: run the batch with a network model "
-                "and a latency-capable protocol hook"
+                "and a protocol with a batched hook"
             )
         return delivery_percentiles(self.delivery_times, percentiles)
 
@@ -293,7 +299,8 @@ def simulate_protocol_batch(
     protocol:
         Any :class:`~repro.protocols.base.Protocol`.  The bundled protocols
         run fully vectorised; subclasses without a batched hook fall back to
-        a scalar replay per replica (same results, no speedup).
+        a scalar replay per replica (same results, no speedup, no delivery
+        times).
     n, q, source:
         As for :meth:`~repro.protocols.base.Protocol.run`.
     repetitions:
@@ -326,9 +333,8 @@ def simulate_protocol_batch(
         ``churn=None`` path.
     round_period:
         Round duration ``T`` of the latency plane's discretised clock.
-        When a network is present and the protocol's batched hook accepts a
-        ``latency`` plane, every message additionally draws a delivery
-        latency from ``network.latency`` and the result carries
+        When a network is present, every message additionally draws a
+        delivery latency from ``network.latency`` and the result carries
         ``delivery_times``; with the default constant unit latency the
         plane consumes no randomness and the batch stays bit-for-bit
         identical to earlier engines.
@@ -359,55 +365,36 @@ def simulate_protocol_batch(
         if schedule.is_trivial():
             schedule = None  # static group: take the churn-free path verbatim
 
-    # Legacy hook contract: external subclasses may still implement the
-    # loss-free 4-argument signature, so the network, churn, and latency
-    # planes are threaded through only when actually requested.
-    kwargs = {}
     plane = None
     if network is not None:
         network.reset()
-        kwargs["network"] = network
-        hook_params = inspect.signature(type(protocol)._disseminate_batch).parameters
-        accepts_latency = "latency" in hook_params or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in hook_params.values()
+        plane = DeliveryTimePlane(network, repetitions, n, round_period=round_period)
+        # The source holds the message from the start of every replica.
+        plane.record(
+            np.arange(repetitions, dtype=np.int64) * n + source,
+            np.zeros(repetitions),
         )
-        if accepts_latency:
-            plane = DeliveryTimePlane(network, repetitions, n, round_period=round_period)
-            # The source holds the message from the start of every replica.
-            plane.record(
-                np.arange(repetitions, dtype=np.int64) * n + source,
-                np.zeros(repetitions),
-            )
-            kwargs["latency"] = plane
-    if schedule is not None:
-        kwargs["churn"] = schedule
-    out = protocol._disseminate_batch(n, alive, source, rng, **kwargs)
-    control = None
-    if len(out) == 5:  # trailing per-replica control-message counts
-        delivered, messages, dropped, rounds, control = out
-        control = np.asarray(control, dtype=np.int64)
-    elif len(out) == 4:
-        delivered, messages, dropped, rounds = out
-    else:  # (delivered, messages, rounds) from a loss-free legacy hook
-        delivered, messages, rounds = out
-        dropped = np.zeros(repetitions, dtype=np.int64)
-    rounds = np.asarray(rounds, dtype=np.int64)
-    delivered = np.asarray(delivered, dtype=bool)
+    transport = Transport(rng, repetitions, network=network, churn=schedule, latency=plane)
+    outcome = protocol._disseminate_batch(n, alive, source, rng, transport=transport)
+    rounds = np.asarray(outcome.rounds, dtype=np.int64)
+    delivered = np.asarray(outcome.delivered, dtype=bool)
     delivered &= alive  # failed members never count as delivered
     delivered[:, source] = True
     present = schedule.present_at_rounds(rounds) if schedule is not None else None
-    delivery_times = plane.finalize(delivered) if plane is not None else None
+    delivery_times = plane.finalize(delivered) if plane is not None and outcome.timed else None
+    control = None if outcome.control is None else np.asarray(outcome.control, dtype=np.int64)
     return BatchProtocolResult(
         protocol=protocol.name,
         n=n,
         source=source,
         alive=alive,
         delivered=delivered,
-        messages_sent=np.asarray(messages, dtype=np.int64),
-        messages_dropped=np.asarray(dropped, dtype=np.int64),
+        messages_sent=np.asarray(outcome.messages, dtype=np.int64),
+        messages_dropped=np.asarray(outcome.dropped, dtype=np.int64),
         rounds=rounds,
         failure=failure,
         present=present,
         control_messages_sent=control,
         delivery_times=delivery_times,
+        stats=outcome.stats,
     )

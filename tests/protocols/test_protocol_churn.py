@@ -20,6 +20,7 @@ from repro.protocols import (
     FixedFanoutGossip,
     FloodingProtocol,
     HyParViewProtocol,
+    LazyPushProtocol,
     LpbcastProtocol,
     PbcastProtocol,
     RandomFanoutGossip,
@@ -32,6 +33,7 @@ from repro.simulation.churn import (
     trivial_schedule_batch,
 )
 from repro.simulation.gossip import simulate_gossip_batch
+from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import simulate_protocol_batch
 from tests.helpers.statistical import assert_same_distribution
 
@@ -160,7 +162,7 @@ class TestScalarReplayFallback:
         def _disseminate(self, n, alive, source, rng, network=None):
             delivered = np.zeros(n, dtype=bool)
             delivered[source] = True
-            return delivered, 0, 1
+            return delivered, 0, 1, 0
 
     def test_fallback_refuses_churn(self):
         protocol = self._ScalarOnly()
@@ -194,8 +196,7 @@ class TestHyParView:
 
     def test_zero_churn_runs_need_no_repairs(self):
         protocol = HyParViewProtocol(fanout=3, rounds=6)
-        simulate_protocol_batch(protocol, 150, 0.9, repetitions=6, seed=9)
-        stats = protocol.last_batch_stats
+        stats = simulate_protocol_batch(protocol, 150, 0.9, repetitions=6, seed=9).stats
         assert stats is not None
         assert stats["repairs"] == 0
         assert stats["view_staleness"] == 0.0
@@ -204,8 +205,9 @@ class TestHyParView:
     def test_churn_triggers_staleness_and_repairs(self):
         protocol = HyParViewProtocol(fanout=3, rounds=8, active_size=8, passive_size=20)
         model = PoissonChurnModel(leave_rate=0.1, join_rate=0.1, initially_absent=0.1)
-        simulate_protocol_batch(protocol, 300, 0.9, repetitions=10, seed=13, churn=model)
-        stats = protocol.last_batch_stats
+        stats = simulate_protocol_batch(
+            protocol, 300, 0.9, repetitions=10, seed=13, churn=model
+        ).stats
         assert stats["view_staleness"] > 0.0
         assert stats["repairs"] > 0
         assert stats["repair_latency"] > 0.0
@@ -225,3 +227,52 @@ class TestHyParView:
             frozen, 400, 0.9, repetitions=24, seed=17, churn=model
         ).reliability_among_survivors()
         assert peer_rel.mean() >= frozen_rel.mean() - 0.02
+
+
+class _NestingNetwork(NetworkModel):
+    """Loss-free network that starts a second run from inside the first one."""
+
+    def __init__(self, start_inner):
+        super().__init__()
+        self.start_inner = start_inner
+
+    def draw_loss_batch(self, rng, target_replica, repetitions):
+        if self.start_inner is not None:
+            start_inner, self.start_inner = self.start_inner, None
+            start_inner()
+        return super().draw_loss_batch(rng, target_replica, repetitions)
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        HyParViewProtocol(fanout=3, rounds=6, active_size=8, passive_size=20),
+        LazyPushProtocol(fanout=2, rounds=8, eager_threshold=0.2, retry_budget=2),
+    ],
+    ids=lambda p: p.name,
+)
+def test_stats_stay_with_their_run_when_runs_of_one_instance_interleave(protocol):
+    # The stats travel on each result, so a run that starts while another
+    # run of the same instance is mid-flight cannot overwrite its stats.
+    churn = PoissonChurnModel(leave_rate=0.1, join_rate=0.1, initially_absent=0.1)
+    args = (protocol, 200, 0.9)
+    alone_outer = simulate_protocol_batch(
+        *args, repetitions=6, seed=1, network=NetworkModel()
+    ).stats
+    alone_inner = simulate_protocol_batch(*args, repetitions=4, seed=2, churn=churn).stats
+    assert alone_outer != alone_inner
+
+    inner = []
+    outer = simulate_protocol_batch(
+        *args,
+        repetitions=6,
+        seed=1,
+        network=_NestingNetwork(
+            lambda: inner.append(
+                simulate_protocol_batch(*args, repetitions=4, seed=2, churn=churn)
+            )
+        ),
+    )
+    assert len(inner) == 1
+    assert outer.stats == alone_outer
+    assert inner[0].stats == alone_inner

@@ -203,18 +203,17 @@ class TestRetryBudget:
         np.testing.assert_array_equal(
             batch.control_messages(), batch.messages_sent
         )
-        assert protocol.last_batch_stats["iwants_sent"] == 0
-        assert protocol.last_batch_stats["recoveries"] == 0
+        assert batch.stats["iwants_sent"] == 0
+        assert batch.stats["recoveries"] == 0
 
     def test_batch_stats_invariants_under_heavy_loss(self):
         protocol = LazyPushProtocol(
             fanout=2, rounds=12, eager_threshold=0.1, retry_budget=1
         )
-        simulate_protocol_batch(
+        stats = simulate_protocol_batch(
             protocol, 200, 0.9, repetitions=10, seed=23,
             network=NetworkModel(loss_probability=0.8),
-        )
-        stats = protocol.last_batch_stats
+        ).stats
         assert stats is not None
         assert stats["iwants_sent"] >= stats["recoveries"] >= 0
         # At 80% loss with a single-IWANT budget most repair attempts fail,

@@ -151,112 +151,6 @@ class TestRL001GlobalRng:
 
 
 # ---------------------------------------------------------------------------
-# RL002 — hook-signature conformance
-# ---------------------------------------------------------------------------
-
-
-class TestRL002HookSignatures:
-    def test_scalar_hook_without_network_flagged(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class BadProtocol:
-                def _disseminate(self, n, alive, source, rng):
-                    return alive, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert codes(violations) == {"RL002"}
-        assert "network" in violations[0].message
-
-    def test_scalar_hook_network_without_default_flagged(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class BadProtocol:
-                def _disseminate(self, n, alive, source, rng, network):
-                    return alive, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert codes(violations) == {"RL002"}
-        assert "default" in violations[0].message
-
-    def test_batch_hook_missing_latency_flagged(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class BadProtocol:
-                def _disseminate_batch(self, n, alive, source, rng, network=None, churn=None):
-                    return alive, 0, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert codes(violations) == {"RL002"}
-        assert "latency" in violations[0].message
-
-    def test_batch_hook_plane_without_default_flagged(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class BadProtocol:
-                def _disseminate_batch(
-                    self, n, alive, source, rng, network, churn=None, latency=None
-                ):
-                    return alive, 0, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert codes(violations) == {"RL002"}
-
-    def test_full_signature_clean(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class GoodProtocol:
-                def _disseminate(self, n, alive, source, rng, network=None):
-                    return alive, 0, 0
-
-                def _disseminate_batch(
-                    self, n, alive, source, rng, network=None, churn=None, latency=None
-                ):
-                    return alive, 0, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert violations == []
-
-    def test_kwargs_catchall_clean(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class ForwardingProtocol:
-                def _disseminate(self, n, alive, source, rng, **kwargs):
-                    return alive, 0, 0
-
-                def _disseminate_batch(self, n, alive, source, rng, **kwargs):
-                    return alive, 0, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert violations == []
-
-    def test_pragma_opt_out(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class OptedOut:
-                def _disseminate_batch(  # repro-lint: disable=RL002
-                    self, n, alive, source, rng, network=None, churn=None
-                ):
-                    return alive, 0, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert violations == []
-
-
-# ---------------------------------------------------------------------------
 # RL003 — frozen, picklable model classes
 # ---------------------------------------------------------------------------
 
@@ -743,6 +637,39 @@ class TestRL007NoUniqueDedup:
         assert violations == []
 
 
+    def test_unique_anywhere_in_transport_module_flagged(self, tmp_path: Path) -> None:
+        violations = lint_source(
+            tmp_path,
+            """
+            import numpy as np
+
+            class Transport:
+                def book(self, cells, held):
+                    unique_cells = np.unique(cells)
+                    return unique_cells[~held[unique_cells]]
+            """,
+            select=["RL007"],
+            filename="repro/simulation/transport.py",
+        )
+        assert codes(violations) == {"RL007"}
+        assert "repro.simulation.transport" in violations[0].message
+
+    def test_same_helper_outside_transport_module_clean(self, tmp_path: Path) -> None:
+        violations = lint_source(
+            tmp_path,
+            """
+            import numpy as np
+
+            class Transport:
+                def book(self, cells, held):
+                    return np.unique(cells)
+            """,
+            select=["RL007"],
+            filename="repro/simulation/other.py",
+        )
+        assert violations == []
+
+
 # ---------------------------------------------------------------------------
 # Engine: pragmas, markers, selection, rendering
 # ---------------------------------------------------------------------------
@@ -824,7 +751,6 @@ class TestEngine:
         rule_codes = [rule.code for rule in ALL_RULES]
         assert sorted(rule_codes) == [
             "RL001",
-            "RL002",
             "RL003",
             "RL004",
             "RL005",
@@ -871,7 +797,7 @@ class TestCli:
     def test_list_rules(self) -> None:
         result = run_lint_cli("--list-rules")
         assert result.returncode == 0
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
+        for code in ("RL001", "RL003", "RL004", "RL005", "RL006", "RL007"):
             assert code in result.stdout
 
     def test_select_restricts_rules(self, tmp_path: Path) -> None:

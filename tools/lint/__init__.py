@@ -4,10 +4,8 @@ Nine PRs of growth accreted load-bearing *conventions* that runtime tests can
 only catch after a wrong number ships: explicit ``numpy.random.Generator``
 threading (the bit-identical-at-any-pool-size guarantee), zero-intensity
 planes drawing **no** randomness (loss p=0 / churn rate 0 stay bit-identical
-to the plane-off paths), signature-compatible ``_disseminate``/
-``_disseminate_batch`` hooks (the dispatcher gates ``latency=``/``churn=`` on
-the hook's signature, so drift silently disables a plane), and frozen
-picklable sampler dataclasses (models cross ``utils.parallel`` pools).  This
+to the plane-off paths), frozen picklable sampler dataclasses (models cross
+``utils.parallel`` pools), and ``np.unique``-free batched round loops.  This
 package encodes each of those contracts as a static rule over the stdlib
 ``ast`` module — no new runtime dependencies — so violations fail lint, not
 production numbers.
@@ -22,8 +20,6 @@ contract each protects):
 ========  =============================================================
  RL001    no global-RNG calls (``np.random.*`` module functions,
           stdlib ``random``, unseeded/time-seeded ``default_rng()``)
- RL002    protocol hook signatures accept the dispatcher's gated
-          ``network``/``churn``/``latency`` keywords (or opt out)
  RL003    latency/churn/failure models are ``@dataclass(frozen=True)``
           with no closure/lambda/Generator fields (pool-picklable)
  RL004    functions under a ``# repro: zero-draw(<name>)`` contract only
@@ -31,6 +27,8 @@ contract each protects):
  RL005    no wall-clock reads (``time.time``, ``datetime.now``, ...)
  RL006    experiment-registry hygiene: every experiment module registers
           exactly once and ``with_scale`` never widens budgets
+ RL007    batched engines and the protocol transport dedup through
+          ``fresh_cells``, never ``np.unique``
 ========  =============================================================
 
 Suppress a single finding with an inline pragma on the offending line::

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from tools.lint.engine import Rule
 from tools.lint.rules.rl001_global_rng import GlobalRngRule
-from tools.lint.rules.rl002_hook_signatures import HookSignatureRule
 from tools.lint.rules.rl003_frozen_samplers import FrozenSamplerRule
 from tools.lint.rules.rl004_zero_draw import ZeroDrawRule
 from tools.lint.rules.rl005_wall_clock import WallClockRule
@@ -23,7 +22,6 @@ __all__ = ["ALL_RULES", "Rule"]
 #: The bundled rules, in code order.  ``lint_paths`` runs these by default.
 ALL_RULES: tuple[Rule, ...] = (
     GlobalRngRule(),
-    HookSignatureRule(),
     FrozenSamplerRule(),
     ZeroDrawRule(),
     WallClockRule(),

@@ -11,14 +11,17 @@ without failing any test.
 
 Flagged: any ``np.unique`` / ``numpy.unique`` call (or ``unique`` imported
 from numpy) lexically inside a function named ``_disseminate_batch`` or
-``simulate_gossip_batch``.  The scalar references (``simulate_gossip_once``,
-the protocols' ``_disseminate``) keep ``np.unique``: they are the oracles
-the batched paths are tested against.
+``simulate_gossip_batch``, or anywhere in ``repro.simulation.transport`` —
+the protocol hooks book their deliveries through that module, so a dedup
+there runs inside every hook's round loop.  The scalar references
+(``simulate_gossip_once``, the protocols' ``_disseminate``) keep
+``np.unique``: they are the oracles the batched paths are tested against.
 """
 
 from __future__ import annotations
 
 import ast
+from pathlib import PurePath
 from typing import Iterator
 
 from tools.lint.asthelpers import dotted_name, numpy_aliases
@@ -28,6 +31,9 @@ __all__ = ["NoUniqueDedupRule"]
 
 #: functions whose bodies hold a batched engine's per-round loop
 _BATCHED_ENGINES = frozenset({"_disseminate_batch", "simulate_gossip_batch"})
+
+#: trailing path parts of the module every protocol hook books through
+_TRANSPORT_MODULE = ("repro", "simulation", "transport.py")
 
 
 def _unique_imports(tree: ast.Module) -> set[str]:
@@ -50,12 +56,18 @@ class NoUniqueDedupRule(Rule):
             f"{alias}.unique" for alias in numpy_aliases(context.tree)
         }
         path = str(context.path)
-        for function in ast.walk(context.tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if function.name not in _BATCHED_ENGINES:
-                continue
-            for node in ast.walk(function):
+        if PurePath(path).parts[-3:] == _TRANSPORT_MODULE:
+            scopes: list[ast.AST] = [context.tree]
+        else:
+            scopes = [
+                function
+                for function in ast.walk(context.tree)
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and function.name in _BATCHED_ENGINES
+            ]
+        for scope in scopes:
+            where = getattr(scope, "name", "repro.simulation.transport")
+            for node in ast.walk(scope):
                 if not isinstance(node, ast.Call):
                     continue
                 name = dotted_name(node.func)
@@ -65,7 +77,7 @@ class NoUniqueDedupRule(Rule):
                         path=path,
                         line=node.lineno,
                         message=(
-                            f"`{name}` in batched engine `{function.name}` — book "
+                            f"`{name}` in batched engine `{where}` — book "
                             "deliveries through repro.utils.sampling.fresh_cells (one "
                             "scatter, same ascending order) instead of a hash/sort dedup"
                         ),
