@@ -30,9 +30,9 @@ exchange.  The plane therefore keeps an independent bucket set per named
 channel (``"payload"``, ``"digest"``, ...), each optionally carrying an
 auxiliary integer array alongside the cell ids (e.g. the advertising
 sender of each digest).  Intra-round round trips (pull requests, IWANT
-retries) never enter a bucket: the hook draws their extra legs directly
-with :meth:`DeliveryTimePlane.draw` and records ``send_time + request_leg +
-response_leg``, preserving the engines' same-round recovery dynamics for
+retries) never enter a bucket: their extra legs are drawn directly
+with :meth:`DeliveryTimePlane.draw` and the recorded arrival is
+``send_time + request_leg + response_leg``, preserving the engines' same-round recovery dynamics for
 *any* latency law.
 
 Cells are flat ids ``replica * n + member`` — the same addressing every
@@ -77,7 +77,9 @@ class DeliveryTimePlane:
     """Per-member delivery clocks plus time-buckets for in-flight messages.
 
     One plane instance serves one batched execution of ``R`` replicas over
-    ``n`` members.  Hooks interact with it through four verbs:
+    ``n`` members.  The batched gossip engine and the protocol
+    :class:`~repro.simulation.transport.Transport` drive it through four
+    verbs:
 
     ``schedule(round_index, cells, rng, channel=, aux=)``
         Draw one latency per cell (through
@@ -90,7 +92,7 @@ class DeliveryTimePlane:
 
     ``record(cells, times)``
         Fold arrival times into the per-member delivery clock
-        (element-wise minimum).  Hooks call this for *payload* arrivals
+        (element-wise minimum).  Callers record *payload* arrivals
         only, pre-filtered to not-yet-delivered members (``minimum.at`` is
         the slow path; fresh-only keeps it off the hot loop).
 
@@ -101,7 +103,7 @@ class DeliveryTimePlane:
     ``drain(channel=)``
         Pop every still-bucketed message of a channel.  At a protocol's
         round horizon, in-flight *payloads* still arrive (the budget bounds
-        sending, not physics) so hooks drain and record them; in-flight
+        sending, not physics) so they are drained and recorded; in-flight
         digests are simply dropped — the exchange they would have triggered
         is never sent.
 
