@@ -23,8 +23,10 @@ from repro.protocols import (
     RandomFanoutGossip,
     RouteDrivenGossip,
 )
+from repro.simulation.churn import PoissonChurnModel
 from repro.simulation.failures import TargetedCrashModel, UniformCrashModel
-from repro.simulation.network import NetworkModel
+from repro.simulation.gossip import simulate_gossip_batch
+from repro.simulation.network import NetworkModel, latency_exponential
 from repro.simulation.protocol_batch import (
     BatchProtocolResult,
     simulate_protocol_batch,
@@ -283,3 +285,48 @@ class TestFailureLayerEdgeCases:
         # the all-after model crashed mid-execution.
         assert np.all(batch_after.failure.after_receive[~batch_after.failure.alive])
         assert not np.any(batch_after.failure.after_receive[batch_after.failure.alive])
+
+
+class TestHookMatchesStandaloneEngine:
+    """The random-fanout hook is the standalone gossip engine behind the dispatcher."""
+
+    def test_planes_on_outputs_equal(self):
+        n, q, repetitions, seed = 800, 0.85, 5, 31
+
+        def network():
+            return NetworkModel(loss_probability=0.1, latency=latency_exponential(1.0))
+
+        churn = PoissonChurnModel(0.01, 0.05, initially_absent=0.05)
+        hooked = simulate_protocol_batch(
+            RandomFanoutGossip(PoissonFanout(4.0)),
+            n,
+            q,
+            repetitions=repetitions,
+            seed=seed,
+            network=network(),
+            churn=churn,
+            round_period=0.5,
+        )
+        # The dispatcher's draw order: failures first, then churn.
+        rng = np.random.default_rng(seed)
+        alive = UniformCrashModel(q).draw_batch(n, repetitions, rng, source=0).alive
+        schedule = churn.draw_batch(n, repetitions, rng, source=0)
+        standalone = simulate_gossip_batch(
+            n,
+            PoissonFanout(4.0),
+            1.0,
+            repetitions=repetitions,
+            seed=rng,
+            alive=alive,
+            network=network(),
+            churn=schedule,
+            round_period=0.5,
+        )
+
+        assert hooked.messages_dropped.sum() > 0
+        assert np.isfinite(hooked.delivery_times).sum() > repetitions
+        np.testing.assert_array_equal(hooked.delivered, standalone.delivered)
+        np.testing.assert_array_equal(hooked.messages_sent, standalone.messages_sent)
+        np.testing.assert_array_equal(hooked.messages_dropped, standalone.messages_dropped)
+        np.testing.assert_array_equal(hooked.rounds, standalone.rounds)
+        np.testing.assert_array_equal(hooked.delivery_times, standalone.delivery_times)
