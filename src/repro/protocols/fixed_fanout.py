@@ -76,9 +76,8 @@ class FixedFanoutGossip(Protocol):
     ) -> BatchOutcome:
         # The constant-fanout push process IS the paper's algorithm with a
         # degenerate distribution, so the batched gossip engine does all the
-        # work; failures arrive through the pre-drawn alive masks, message
-        # loss through the shared network hook, and join/leave events through
-        # the churn plane.
+        # work; failures arrive through the pre-drawn alive masks, and loss,
+        # churn and latency through the dispatcher's transport.
         result = simulate_gossip_batch(
             n,
             FixedFanout(self.fanout),
@@ -87,9 +86,7 @@ class FixedFanoutGossip(Protocol):
             source=source,
             seed=rng,
             alive=alive,
-            network=transport.network,
-            churn=transport.churn,
-            latency=transport.latency,
+            transport=transport,
         )
         return BatchOutcome(
             result.delivered, result.messages_sent, result.messages_dropped, result.rounds

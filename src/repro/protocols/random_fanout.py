@@ -68,9 +68,7 @@ class RandomFanoutGossip(Protocol):
             source=source,
             seed=rng,
             alive=alive,
-            network=transport.network,
-            churn=transport.churn,
-            latency=transport.latency,
+            transport=transport,
         )
         return BatchOutcome(
             result.delivered, result.messages_sent, result.messages_dropped, result.rounds

@@ -35,7 +35,9 @@ that discretises per-message delays onto the round clock, so both batched
 engines report per-member ``delivery_times`` and tail percentiles
 (``delivery_percentiles``) at batched speed — bit-identical to the
 latency-free engines whenever the sampler is a constant within one round
-period.
+period.  Both batched engines send through one
+:class:`~repro.simulation.transport.Transport`, the delivery law that applies
+loss, churn and latency to every message.
 """
 
 from repro.simulation.engine import EventScheduler, Event

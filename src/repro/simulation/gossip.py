@@ -6,11 +6,12 @@ Three implementations of the same protocol are provided:
   propagates **all replicas of an experiment simultaneously** as ``(R, n)``
   boolean masks: per gossip round there is one vectorised fanout draw for
   every (replica, frontier-member) pair, one batched distinct-target draw
-  through :meth:`MembershipView.sample_targets_batch`, and one
-  :func:`~repro.utils.sampling.fresh_cells` scatter plus ``bincount`` pass
-  that books deliveries, duplicates, and message counts exactly.  This
-  removes the Python-interpreter round trips that dominated per-replica
-  simulation and is 10-50× faster on the paper's Figs. 4-5 sweeps.
+  through :meth:`MembershipView.sample_targets_batch`, one
+  :class:`~repro.simulation.transport.Transport` push leg that applies
+  loss, churn and latency, and one :func:`~repro.utils.sampling.fresh_cells`
+  scatter that books deliveries exactly.  This removes the
+  Python-interpreter round trips that dominated per-replica simulation and
+  is 10-50× faster on the paper's Figs. 4-5 sweeps.
 * :func:`simulate_gossip_once` — the scalar frontier (BFS) Monte-Carlo kept
   as the behavioural reference for the batched engine.  Time is abstracted
   into gossip "hops"; within a hop every newly infected nonfailed member
@@ -42,11 +43,12 @@ from repro.core.distributions import FanoutDistribution
 from repro.simulation.churn import ChurnScheduleBatch
 from repro.simulation.engine import EventScheduler
 from repro.simulation.failures import FailurePattern, UniformCrashModel
-from repro.simulation.latency import DeliveryTimePlane, delivery_percentiles
+from repro.simulation.latency import delivery_percentiles
 from repro.simulation.membership import FullView, MembershipView
 from repro.simulation.metrics import ExecutionMetrics
 from repro.simulation.network import NetworkModel
 from repro.simulation.node import Member
+from repro.simulation.transport import Transport
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.sampling import fresh_cells
 from repro.utils.validation import check_integer, check_probability
@@ -410,7 +412,7 @@ def simulate_gossip_batch(
     alive: np.ndarray | None = None,
     network: NetworkModel | None = None,
     churn: ChurnScheduleBatch | None = None,
-    latency: DeliveryTimePlane | None = None,
+    transport: Transport | None = None,
     round_period: float = 1.0,
 ) -> BatchGossipResult:
     """Run ``repetitions`` independent gossip executions as one array program.
@@ -421,7 +423,9 @@ def simulate_gossip_batch(
     constant number of numpy operations instead of ``O(frontier)`` Python
     calls.  Message and duplicate accounting follows the scalar engine
     exactly: duplicates are targets that already had the message or appeared
-    twice within the round's batch (per replica).
+    twice within the round's batch (per replica).  Every round's sends go
+    through one :class:`~repro.simulation.transport.Transport` push leg, the
+    delivery law the protocol hooks share.
 
     Parameters
     ----------
@@ -435,33 +439,35 @@ def simulate_gossip_batch(
         Optional pre-drawn ``(R, n)`` alive masks (replaces the uniform-``q``
         failure draw; the source column is forced alive either way).
     network:
-        Optional lossy transport shared by all replicas: every round's flat
+        Optional lossy network shared by all replicas: every round's flat
         send list is thinned with one independent Bernoulli draw
         (:meth:`~repro.simulation.network.NetworkModel.draw_loss_batch`) and
-        the per-replica drop counts surface as ``messages_dropped``.  With
-        ``loss_probability == 0`` the batch is bit-for-bit identical to the
-        ``network=None`` path.
+        the per-replica drop counts surface as ``messages_dropped``.  The
+        network also switches on the latency plane: messages sent in round
+        ``t`` (1-based) at time ``(t-1) * round_period`` arrive a latency
+        draw later, infect their target once the round clock passes the
+        arrival instant, and the result carries ``delivery_times``.  With
+        ``loss_probability == 0`` and the default constant unit latency the
+        batch is bit-for-bit identical to the ``network=None`` path.
     churn:
         Optional pre-drawn :class:`~repro.simulation.churn.ChurnScheduleBatch`
         of join/leave events.  Per round ``t`` (1-based), frontier members no
-        longer present stop forwarding, and sends to currently-absent targets
-        are wasted: they count as sent but never arrive (they are *not*
-        network drops — the peer simply is not there).  A trivial schedule is
-        skipped entirely, so zero churn is bit-for-bit identical to the
-        ``churn=None`` path.
-    latency:
-        Optional externally owned :class:`DeliveryTimePlane` (used by the
-        protocol hooks that delegate here so the caller keeps the plane).
-        When ``None`` and a network is present, the engine creates its own
-        plane and surfaces ``delivery_times`` on the result: messages sent
-        in round ``t`` (1-based) at time ``(t-1) * round_period`` arrive a
-        latency draw later and infect their target once the round clock
-        passes the arrival instant.  With the default constant unit latency
-        the plane consumes no randomness and defers nothing, so results are
-        bit-for-bit identical to the plane-free engine.
+        longer present stop forwarding, and sends to targets absent when the
+        message is sent or when it lands are wasted: they count as sent but
+        never arrive (they are *not* network drops — the peer simply is not
+        there).  A trivial schedule is skipped entirely, so zero churn is
+        bit-for-bit identical to the ``churn=None`` path.
+    transport:
+        Optional fresh :class:`~repro.simulation.transport.Transport` that
+        already carries the run's planes (the fixed- and random-fanout
+        protocol hooks pass the dispatcher's, which finalizes the delivery
+        times itself, so the result's ``delivery_times`` is ``None``).
+        ``network`` and ``churn`` must then be left unset.  When ``None``,
+        the engine builds its own from ``network``, ``churn`` and
+        ``round_period``.
     round_period:
-        Round duration ``T`` of the discretised clock (ignored when an
-        external ``latency`` plane is passed, which carries its own).
+        Round duration ``T`` of the discretised clock (ignored when a
+        ``transport`` is passed, which carries its own).
     """
     n = check_integer("n", n, minimum=1)
     q = check_probability("q", q)
@@ -471,14 +477,13 @@ def simulate_gossip_batch(
     view = membership if membership is not None else FullView(n)
     if view.n != n:
         raise ValueError(f"membership view is for n={view.n}, expected n={n}")
-    if churn is not None:
-        if (churn.repetitions, churn.n) != (repetitions, n):
-            raise ValueError(
-                f"churn schedule is for shape {(churn.repetitions, churn.n)}, "
-                f"expected {(repetitions, n)}"
-            )
-        if churn.is_trivial():
-            churn = None  # static group: take the churn-free path verbatim
+    owns_transport = transport is None
+    if transport is None:
+        transport = Transport(
+            rng, repetitions, n, source, network=network, churn=churn, round_period=round_period
+        )
+    elif network is not None or churn is not None:
+        raise ValueError("pass the planes either through transport or as network/churn")
 
     if alive is None:
         alive_masks = rng.random((repetitions, n)) < q
@@ -497,123 +502,66 @@ def simulate_gossip_batch(
 
     rounds = np.zeros(repetitions, dtype=np.int64)
     messages_sent = np.zeros(repetitions, dtype=np.int64)
-    duplicates = np.zeros(repetitions, dtype=np.int64)
-    messages_dropped = np.zeros(repetitions, dtype=np.int64)
 
     frontier = np.zeros((repetitions, n), dtype=bool)
     frontier[:, source] = True
     received_flat = received.ravel()
     delivered_flat = delivered.ravel()
     alive_flat = alive_masks.ravel()
-
-    plane = latency
-    if plane is None and network is not None:
-        plane = DeliveryTimePlane(network, repetitions, n, round_period=round_period)
-    if plane is not None:
-        # The source holds the message from the start of the execution.
-        plane.record(
-            np.arange(repetitions, dtype=np.int64) * n + source,
-            np.zeros(repetitions),
-        )
+    plane = transport.latency
+    no_sends = np.empty(0, dtype=np.int64)
 
     round_index = 0
     while True:
         round_index += 1
-        present_flat = None
-        if churn is not None:
-            # Members that left (or have not yet joined) neither forward nor
-            # receive during this round.
-            present = churn.present_at(round_index)
-            present_flat = present.ravel()
-            frontier &= present
-        active = frontier.any(axis=1)
-        if plane is not None:
-            # In-flight messages keep a replica's clock running even when no
-            # member is forwarding this round.
-            active |= plane.pending_mask()
+        transport.begin_round(round_index)
+        # Members that left (or have not yet joined) neither forward nor
+        # receive during this round; in-flight messages keep a replica's
+        # clock running even when no member is forwarding.
+        frontier = transport.present(frontier)
+        active = frontier.any(axis=1) | transport.pending_mask()
         if not active.any():
             break
         rounds += active
 
-        cell_ids = np.zeros(0, dtype=np.int64)
-        arrived_per_replica = np.zeros(repetitions, dtype=np.int64)
-        no_forwarders = False
+        cells = replica = no_sends
         replica_idx, member_idx = np.nonzero(frontier)
         frontier = np.zeros((repetitions, n), dtype=bool)
         if member_idx.size:
             fanouts = distribution.sample(member_idx.size, seed=rng)
             forwarding = fanouts > 0
-            if not forwarding.any():
-                no_forwarders = True
-            else:
+            if forwarding.any():
                 targets, sender_idx = view.sample_targets_batch(
                     member_idx[forwarding], fanouts[forwarding], rng
                 )
-                if targets.size:
-                    target_replica = replica_idx[forwarding][sender_idx]
-                    sent_per_replica = np.bincount(target_replica, minlength=repetitions)
-                    messages_sent += sent_per_replica
-                    arrived_per_replica = sent_per_replica
-                    if network is not None:
-                        keep, dropped = network.draw_loss_batch(
-                            rng, target_replica, repetitions
-                        )
-                        messages_dropped += dropped
-                        arrived_per_replica = sent_per_replica - dropped
-                        targets = targets[keep]
-                        target_replica = target_replica[keep]
-                    if present_flat is not None and targets.size:
-                        # Sends to absent peers are wasted: sent but never
-                        # arrived (and never duplicates), without counting as
-                        # network drops.
-                        keep = present_flat[target_replica * n + targets]
-                        if not keep.all():
-                            arrived_per_replica = arrived_per_replica - np.bincount(
-                                target_replica[~keep], minlength=repetitions
-                            )
-                            targets = targets[keep]
-                            target_replica = target_replica[keep]
-                    cell_ids = target_replica * n + targets
+                replica = replica_idx[forwarding][sender_idx]
+                cells = replica * n + targets
+                del targets, sender_idx
+                messages_sent += np.bincount(replica, minlength=repetitions)
 
-        cell_times = None
-        if plane is not None:
-            # One latency draw per surviving send; what comes back is the
-            # batch processable this round (matured buckets + same-round
-            # arrivals).  Deferred arrivals are re-checked against the churn
-            # view of *this* round: the target must be there when the message
-            # lands, not when it was sent.
-            cell_ids, cell_times, _ = plane.schedule(round_index - 1, cell_ids, rng)
-            if present_flat is not None and cell_ids.size:
-                keep = present_flat[cell_ids]
-                cell_ids = cell_ids[keep]
-                cell_times = cell_times[keep]
-            arrived_per_replica = np.bincount(cell_ids // n, minlength=repetitions)
-        elif no_forwarders:
-            break
-
-        if not cell_ids.size:
-            if no_forwarders and plane is not None and not plane.has_pending():
-                break
+        # What lands this round: loss, absent targets and latency deferral
+        # applied, earlier slow sends that matured now included.
+        cells, times = transport.push(cells, replica)
+        del replica
+        if not cells.size:
             continue
-        if plane is not None:
-            fresh_mask = ~received_flat[cell_ids]
-            plane.record(cell_ids[fresh_mask], cell_times[fresh_mask])
+        if plane is not None and times is not None:
+            fresh_mask = ~received_flat[cells]
+            plane.record(cells[fresh_mask], times[fresh_mask])
 
-        # Deliveries are booked per (replica, target) cell: duplicates are
-        # targets already infected or repeated within this round's batch
-        # (dropped messages never arrive, so they are not duplicates).
-        fresh = fresh_cells(cell_ids, received_flat)
-        duplicates += arrived_per_replica - np.bincount(fresh // n, minlength=repetitions)
+        # Failed members receive but never forward.
+        fresh = fresh_cells(cells, received_flat)
         received_flat[fresh] = True
         newly_alive = fresh[alive_flat[fresh]]
         delivered_flat[newly_alive] = True
         frontier.ravel()[newly_alive] = True
 
-    delivery_times = None
-    if plane is not None and latency is None:
-        # The engine owns the plane: close it out.  (Hooks that passed their
-        # own plane finalize it themselves with the protocol's delivered mask.)
-        delivery_times = plane.finalize(delivered)
+    # Nothing is in flight once the loop ends, so every send was dropped,
+    # wasted, a first receipt or a duplicate.
+    duplicates = (
+        messages_sent - transport.dropped - transport.wasted - (received.sum(axis=1) - 1)
+    )
+    delivery_times = plane.finalize(delivered) if owns_transport and plane is not None else None
 
     return BatchGossipResult(
         n=n,
@@ -623,7 +571,7 @@ def simulate_gossip_batch(
         rounds=rounds,
         messages_sent=messages_sent,
         duplicates=duplicates,
-        messages_dropped=messages_dropped,
+        messages_dropped=transport.dropped.copy(),
         delivery_times=delivery_times,
     )
 

@@ -77,9 +77,9 @@ class DeliveryTimePlane:
     """Per-member delivery clocks plus time-buckets for in-flight messages.
 
     One plane instance serves one batched execution of ``R`` replicas over
-    ``n`` members.  The batched gossip engine and the protocol
-    :class:`~repro.simulation.transport.Transport` drive it through four
-    verbs:
+    ``n`` members.  The :class:`~repro.simulation.transport.Transport`
+    under both batched engines builds it and drives it through four verbs
+    (the batched gossip engine records its own arrivals):
 
     ``schedule(round_index, cells, rng, channel=, aux=)``
         Draw one latency per cell (through

@@ -35,30 +35,17 @@ The distinct-sampling kernels themselves live in
 ``sample_distinct`` and ``sample_distinct_rows`` are re-exported here for
 backwards compatibility.
 
-Time-varying membership
------------------------
-
-Views additionally carry an optional **presence mask** — the dynamic-membership
-contract used by the churn plane (:mod:`repro.simulation.churn`):
-
-* :meth:`MembershipView.apply_events` applies join/leave events, updating the
-  mask of members currently in the group;
-* :meth:`MembershipView.alive_mask` / :meth:`MembershipView.alive_mask_batch`
-  expose the current mask (scalar and replica-broadcast forms);
-* both sampling operations silently drop absent targets — a member whose view
-  still names a departed peer wastes that send, exactly as a real system
-  would until its peer-sampling service repairs the view.
-
-The mask is lazily allocated: while no events have been applied (or all
-members rejoined) it stays ``None`` and every sampling path is *bit-identical*
-to the static implementation — zero churn costs nothing and changes nothing.
+Views are static: they name peers whether or not those peers are currently
+in the group.  Join/leave events live in the churn plane
+(:mod:`repro.simulation.churn`), and the
+:class:`~repro.simulation.transport.Transport` below both batched engines
+books a send to an absent peer as sent but wasted, exactly as a real system
+would until its peer-sampling service repairs the view.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-
-from typing import Iterable
 
 import numpy as np
 import numpy.typing as npt
@@ -98,17 +85,10 @@ def _check_batch_args(
 
 
 class MembershipView(ABC):
-    """Abstract membership-view provider for a group of ``n`` members.
-
-    Views are *time-varying*: :meth:`apply_events` feeds join/leave events
-    into a lazily-allocated presence mask, and both sampling operations drop
-    targets that are currently absent.  With no events applied the mask stays
-    ``None`` and every code path is bit-identical to a static view.
-    """
+    """Abstract membership-view provider for a group of ``n`` members."""
 
     def __init__(self, n: int) -> None:
         self.n = check_integer("n", n, minimum=1)
-        self._present: np.ndarray | None = None
 
     @abstractmethod
     def view_of(self, member: int) -> np.ndarray:
@@ -116,70 +96,7 @@ class MembershipView(ABC):
 
     @abstractmethod
     def sample_targets(self, member: int, k: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``k`` distinct gossip targets for ``member`` from its view.
-
-        Targets absent from the group (after :meth:`apply_events`) are
-        dropped, so fewer than ``k`` targets may come back under churn.
-        """
-
-    def alive_mask(self, round_index: int = 0) -> np.ndarray:
-        """Return the ``(n,)`` mask of members currently in the group.
-
-        ``round_index`` is accepted for symmetry with the churn schedules'
-        :meth:`~repro.simulation.churn.ChurnScheduleBatch.present_at`; a
-        plain view has no event clock of its own, so the mask reflects
-        whatever events have been applied so far.
-        """
-        if self._present is None:
-            return np.ones(self.n, dtype=bool)
-        return self._present.copy()
-
-    def alive_mask_batch(self, repetitions: int, round_index: int = 0) -> np.ndarray:
-        """Return the presence mask broadcast over replicas, shape ``(R, n)``.
-
-        The vectorised variant the batched engines consume; each replica row
-        is the same mask because events applied through the view API are
-        global (per-replica schedules live in
-        :class:`~repro.simulation.churn.ChurnScheduleBatch` instead).
-        """
-        repetitions = check_integer("repetitions", repetitions, minimum=1)
-        return np.broadcast_to(
-            self.alive_mask(round_index)[None, :], (repetitions, self.n)
-        ).copy()
-
-    def apply_events(
-        self, round_index: int, joins: Iterable[int] = (), leaves: Iterable[int] = ()
-    ) -> None:
-        """Apply join/leave events effective from round ``round_index`` on.
-
-        ``joins`` mark members (re-)entering the group, ``leaves`` mark
-        members departing; subsequent sampling drops absent targets.  When
-        every member ends up present again the mask deallocates back to
-        ``None``, restoring the bit-identical static path.
-        """
-        check_integer("round_index", round_index, minimum=0)
-        joins = np.asarray(list(joins), dtype=np.int64)
-        leaves = np.asarray(list(leaves), dtype=np.int64)
-        for name, events in (("joins", joins), ("leaves", leaves)):
-            if events.size and (events.min() < 0 or events.max() >= self.n):
-                raise ValueError(f"{name} must be identifiers in [0, {self.n})")
-        if self._present is None:
-            if not leaves.size:
-                return  # joins of already-present members change nothing
-            self._present = np.ones(self.n, dtype=bool)
-        self._present[joins] = True
-        self._present[leaves] = False
-        if self._present.all():
-            self._present = None
-
-    def _drop_absent(
-        self, targets: np.ndarray, senders: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Filter a (targets, senders) pair down to currently-present targets."""
-        if self._present is None or not targets.size:
-            return targets, senders
-        keep = self._present[targets]
-        return targets[keep], senders[keep]
+        """Draw ``k`` distinct gossip targets for ``member`` from its view."""
 
     def sample_targets_batch(
         self, members: np.ndarray, fanouts: np.ndarray, rng: np.random.Generator
@@ -260,10 +177,7 @@ class FullView(MembershipView):
 
     def sample_targets(self, member: int, k: int, rng: np.random.Generator) -> np.ndarray:
         member = check_integer("member", member, minimum=0, maximum=self.n - 1)
-        targets = sample_distinct(rng, self.n, k, exclude=member)
-        if self._present is not None and targets.size:
-            targets = targets[self._present[targets]]
-        return targets
+        return sample_distinct(rng, self.n, k, exclude=member)
 
     def sample_targets_batch(
         self, members: np.ndarray, fanouts: np.ndarray, rng: np.random.Generator
@@ -276,7 +190,7 @@ class FullView(MembershipView):
         senders = np.repeat(np.arange(members.size, dtype=np.int64), np.maximum(ks, 0))
         # The shared sampler may hand back a narrower dtype; the view API
         # contract (and the other implementations) is int64 identifiers.
-        return self._drop_absent(matrix[valid].astype(np.int64, copy=False), senders)
+        return matrix[valid].astype(np.int64, copy=False), senders
 
 
 class UniformPartialView(MembershipView):
@@ -321,11 +235,7 @@ class UniformPartialView(MembershipView):
         k = min(int(k), len(view))
         if k <= 0:
             return np.empty(0, dtype=np.int64)
-        idx = sample_distinct(rng, len(view), k)
-        targets = view[idx]
-        if self._present is not None and targets.size:
-            targets = targets[self._present[targets]]
-        return targets
+        return view[sample_distinct(rng, len(view), k)]
 
     def sample_targets_batch(
         self, members: np.ndarray, fanouts: np.ndarray, rng: np.random.Generator
@@ -338,4 +248,4 @@ class UniformPartialView(MembershipView):
         if not idx.shape[1]:
             return np.empty(0, dtype=np.int64), senders
         targets = self._view_matrix[members[:, None], idx]
-        return self._drop_absent(targets[valid], senders)
+        return targets[valid], senders

@@ -49,7 +49,7 @@ from repro.simulation.failures import (
     FailurePatternBatch,
     UniformCrashModel,
 )
-from repro.simulation.latency import DeliveryTimePlane, delivery_percentiles
+from repro.simulation.latency import delivery_percentiles
 from repro.simulation.network import NetworkModel
 from repro.simulation.transport import Transport
 from repro.utils.rng import SeedLike, as_generator
@@ -356,31 +356,19 @@ def simulate_protocol_batch(
         schedule = churn.draw_batch(n, repetitions, rng, source=source)
     else:
         schedule = churn
-    if schedule is not None:
-        if (schedule.repetitions, schedule.n) != (repetitions, n):
-            raise ValueError(
-                f"churn schedule is for shape {(schedule.repetitions, schedule.n)}, "
-                f"expected {(repetitions, n)}"
-            )
-        if schedule.is_trivial():
-            schedule = None  # static group: take the churn-free path verbatim
-
-    plane = None
     if network is not None:
         network.reset()
-        plane = DeliveryTimePlane(network, repetitions, n, round_period=round_period)
-        # The source holds the message from the start of every replica.
-        plane.record(
-            np.arange(repetitions, dtype=np.int64) * n + source,
-            np.zeros(repetitions),
-        )
-    transport = Transport(rng, repetitions, network=network, churn=schedule, latency=plane)
+    transport = Transport(
+        rng, repetitions, n, source, network=network, churn=schedule, round_period=round_period
+    )
     outcome = protocol._disseminate_batch(n, alive, source, rng, transport=transport)
     rounds = np.asarray(outcome.rounds, dtype=np.int64)
     delivered = np.asarray(outcome.delivered, dtype=bool)
     delivered &= alive  # failed members never count as delivered
     delivered[:, source] = True
+    schedule = transport.churn
     present = schedule.present_at_rounds(rounds) if schedule is not None else None
+    plane = transport.latency
     delivery_times = plane.finalize(delivered) if plane is not None and outcome.timed else None
     control = None if outcome.control is None else np.asarray(outcome.control, dtype=np.int64)
     return BatchProtocolResult(

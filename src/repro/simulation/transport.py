@@ -3,10 +3,11 @@
 The paper models every gossip protocol the same way: members send to peers,
 some sends are lost or land on members that have left, and reliability is
 what reaches the live ones.  :class:`Transport` is that one delivery law for
-the batched protocol zoo: a hook says what it sends, the transport decides
-what arrives.  One transport serves one
-:func:`~repro.simulation.protocol_batch.simulate_protocol_batch` run; it owns
-the loss, churn and latency planes, the per-replica drop counter and the
+both batched engines: a protocol hook or the gossip engine says what it
+sends, the transport decides what arrives.  One transport serves one
+:func:`~repro.simulation.protocol_batch.simulate_protocol_batch` or
+:func:`~repro.simulation.gossip.simulate_gossip_batch` run; it owns the loss,
+churn and latency planes, the per-replica drop and waste counters and the
 current round's churn view.  Every verb is a no-op that draws no randomness
 when its plane is off, which keeps plane-off runs bit-identical.
 
@@ -69,27 +70,53 @@ class BatchOutcome:
 class Transport:
     """Loss, churn and latency planes of one batched run behind one set of verbs.
 
-    ``rng`` is the run's generator (the one the hook draws targets from);
-    a plane given as ``None`` is off.  The dispatcher builds a latency plane
-    exactly when a network is given.
+    ``rng`` is the run's generator (the one the hook draws targets from).
+    A plane given as ``None`` is off, and so is a trivial churn schedule.  A
+    network switches on the latency plane as well: the transport builds the
+    :class:`~repro.simulation.latency.DeliveryTimePlane` on the
+    ``round_period`` clock and records the ``source`` at time 0 in every
+    replica.  The transport never resets the network; the caller decides
+    whether a reused channel starts afresh.
     """
 
     def __init__(
         self,
         rng: np.random.Generator,
         repetitions: int,
+        n: int,
+        source: int,
         *,
         network: NetworkModel | None = None,
         churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
+        round_period: float = 1.0,
     ) -> None:
         self.rng = rng
         self.repetitions = int(repetitions)
+        self.n = int(n)
+        if churn is not None:
+            if (churn.repetitions, churn.n) != (self.repetitions, self.n):
+                raise ValueError(
+                    f"churn schedule is for shape {(churn.repetitions, churn.n)}, "
+                    f"expected {(self.repetitions, self.n)}"
+                )
+            if churn.is_trivial():
+                churn = None  # static group: take the churn-free path verbatim
         self.network = network
         self.churn = churn
-        self.latency = latency
+        self.latency: DeliveryTimePlane | None = None
+        if network is not None:
+            self.latency = DeliveryTimePlane(
+                network, self.repetitions, self.n, round_period=round_period
+            )
+            # The source holds the message from the start of every replica.
+            self.latency.record(
+                np.arange(self.repetitions, dtype=np.int64) * self.n + source,
+                np.zeros(self.repetitions),
+            )
         #: ``(R,)`` messages lost in transit so far, per replica.
         self.dropped = np.zeros(self.repetitions, dtype=np.int64)
+        #: ``(R,)`` messages sent to, or landing on, absent members, per replica.
+        self.wasted = np.zeros(self.repetitions, dtype=np.int64)
         self._send_round = 0
         self._present: np.ndarray | None = None
         self._present_flat: np.ndarray | None = None
@@ -121,6 +148,12 @@ class Transport:
             return np.ones(np.shape(cells), dtype=bool)
         return self._present_flat[cells]
 
+    def _keep_present(self, cells: np.ndarray) -> np.ndarray:
+        """Return the mask of ``cells`` in this round's group; book the rest as wasted."""
+        keep = self.in_group(cells)
+        self.wasted += np.bincount(cells[~keep] // self.n, minlength=self.repetitions)
+        return keep
+
     # ------------------------------------------------------------------ legs
 
     def lose(self, replica: np.ndarray) -> np.ndarray:
@@ -146,7 +179,8 @@ class Transport:
 
         Returns ``(cells, times, aux)``: the messages due now on ``channel``
         (earlier slow sends included) minus those whose target is absent on
-        landing.  ``times`` is ``None`` when latency is off.
+        landing, which count as wasted.  ``times`` is ``None`` when latency
+        is off.
         """
         times: np.ndarray | None = None
         if self.latency is not None:
@@ -154,7 +188,7 @@ class Transport:
                 self._send_round, cells, self.rng, channel=channel, aux=aux
             )
         if self._present_flat is not None and cells.size:
-            keep = self._present_flat[cells]
+            keep = self._keep_present(cells)
             cells = cells[keep]
             times = times[keep] if times is not None else None
             aux = aux[keep] if aux is not None else None
@@ -163,14 +197,16 @@ class Transport:
     def push(
         self, cells: np.ndarray, replica: np.ndarray, *, channel: str = "payload"
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One push leg: loss, drop absent targets, then :meth:`land`.
+        """One push leg: loss, drop absent targets as wasted, then :meth:`land`.
 
         An empty leg skips the loss draw but still collects this round's
-        matured messages.  Returns ``(cells, times)`` as :meth:`land` does.
+        matured messages.  With every plane off the leg hands ``cells`` back
+        untouched.  Returns ``(cells, times)`` as :meth:`land` does.
         """
-        if cells.size:
+        if cells.size and self.network is not None:
             cells = cells[self.lose(replica)]
-            cells = cells[self.in_group(cells)]
+        if cells.size and self._present_flat is not None:
+            cells = cells[self._keep_present(cells)]
         cells, times, _ = self.land(cells, channel=channel)
         return cells, times
 

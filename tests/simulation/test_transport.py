@@ -3,7 +3,9 @@
 The transport carries three contracts the golden digests depend on:
 
 * a plane that is off, or on at zero intensity, changes nothing and draws
-  nothing — every verb hands its input back and books no drops;
+  nothing — every verb hands its input back and books no drops or waste;
+* every pushed message is accounted for: per replica, ``sent == dropped +
+  wasted + landed`` once nothing is in flight;
 * ``book`` is exactly the record-then-``fresh_cells`` booking the protocol
   hooks used to inline;
 * ``push`` skips the loss draw of an empty leg while ``lose`` always draws,
@@ -39,15 +41,9 @@ def _quiet_transports(rng: np.random.Generator) -> list[Transport]:
     zero_loss = NetworkModel(loss_probability=0.0)
     zero_ge = GilbertElliottNetworkModel(loss_probability=0.0, bad_loss_probability=0.0)
     return [
-        Transport(rng, R),
-        Transport(
-            rng,
-            R,
-            network=zero_loss,
-            churn=trivial_schedule_batch(N, R),
-            latency=DeliveryTimePlane(zero_loss, R, N),
-        ),
-        Transport(rng, R, network=zero_ge, latency=DeliveryTimePlane(zero_ge, R, N)),
+        Transport(rng, R, N, 0),
+        Transport(rng, R, N, 0, network=zero_loss, churn=trivial_schedule_batch(N, R)),
+        Transport(rng, R, N, 0, network=zero_ge),
     ]
 
 
@@ -84,6 +80,7 @@ def test_quiet_planes_return_inputs_and_draw_nothing(which: int) -> None:
 
     assert _state(rng) == before
     assert not transport.dropped.any()
+    assert not transport.wasted.any()
 
 
 def test_book_matches_record_then_fresh_cells() -> None:
@@ -95,14 +92,17 @@ def test_book_matches_record_then_fresh_cells() -> None:
     network = NetworkModel(latency=latency_exponential(1.0))
 
     reference_plane = DeliveryTimePlane(network, R, N)
+    source_cells = np.arange(R) * N
+    reference_plane.record(source_cells, np.zeros(R))
     reference_held = held.copy()
     first = alive_flat[cells] & ~reference_held[cells]
     reference_plane.record(cells[first], times[first])
     expected = fresh_cells(cells[alive_flat[cells]], reference_held)
     reference_held[expected] = True
 
-    plane = DeliveryTimePlane(network, R, N)
-    transport = Transport(np.random.default_rng(0), R, network=network, latency=plane)
+    transport = Transport(np.random.default_rng(0), R, N, 0, network=network)
+    plane = transport.latency
+    assert plane is not None
     booked_held = held.copy()
     fresh = transport.book(cells, times, booked_held, alive_flat)
 
@@ -112,7 +112,9 @@ def test_book_matches_record_then_fresh_cells() -> None:
     np.testing.assert_array_equal(plane.finalize(everyone), reference_plane.finalize(everyone))
 
     untimed_held = held.copy()
-    untimed = Transport(np.random.default_rng(0), R).book(cells, None, untimed_held, alive_flat)
+    untimed = Transport(np.random.default_rng(0), R, N, 0).book(
+        cells, None, untimed_held, alive_flat
+    )
     np.testing.assert_array_equal(untimed, expected)
     np.testing.assert_array_equal(untimed_held, reference_held)
 
@@ -129,7 +131,7 @@ def _bursty(**latency: object) -> GilbertElliottNetworkModel:
 
 def test_push_skips_the_loss_draw_of_an_empty_leg_but_lose_does_not() -> None:
     rng = np.random.default_rng(11)
-    transport = Transport(rng, R, network=_bursty())
+    transport = Transport(rng, R, N, 0, network=_bursty())
     empty = np.empty(0, dtype=np.int64)
     before = _state(rng)
     cells, _ = transport.push(empty, empty)
@@ -149,9 +151,8 @@ def test_push_is_lose_then_drop_absent_then_land() -> None:
 
     def make(seed: int) -> Transport:
         network = _bursty(latency=latency_exponential(1.0))
-        plane = DeliveryTimePlane(network, R, N, round_period=0.5)
         rng = np.random.default_rng(seed)
-        return Transport(rng, R, network=network, churn=churn, latency=plane)
+        return Transport(rng, R, N, 0, network=network, churn=churn, round_period=0.5)
 
     pushed, composed = make(9), make(9)
     for round_index in (1, 2, 3):
@@ -166,3 +167,36 @@ def test_push_is_lose_then_drop_absent_then_land() -> None:
         assert composed.in_group(got_cells).all()
     np.testing.assert_array_equal(pushed.dropped, composed.dropped)
     assert pushed.dropped.sum() > 0
+
+
+def test_drained_push_legs_satisfy_the_accounting_identity() -> None:
+    churn = PoissonChurnModel(0.1, 0.2, initially_absent=0.2).draw_batch(
+        N, R, np.random.default_rng(5)
+    )
+    network = NetworkModel(loss_probability=0.2, latency=latency_exponential(1.0))
+    transport = Transport(
+        np.random.default_rng(13), R, N, 0, network=network, churn=churn, round_period=0.5
+    )
+    sends = np.random.default_rng(14)
+    sent = np.zeros(R, dtype=np.int64)
+    landed = np.zeros(R, dtype=np.int64)
+    round_index = 0
+    while round_index < 6 or transport.has_pending():
+        round_index += 1
+        transport.begin_round(round_index)
+        size = 300 if round_index <= 6 else 0
+        cells = sends.integers(0, R * N, size=size)
+        sent += np.bincount(cells // N, minlength=R)
+        arrived, _ = transport.push(cells, cells // N)
+        landed += np.bincount(arrived // N, minlength=R)
+
+    assert round_index > 6  # some sends were still in flight after the last leg
+    assert transport.dropped.all() and transport.wasted.all()
+    np.testing.assert_array_equal(sent, transport.dropped + transport.wasted + landed)
+
+
+def test_trivial_churn_is_switched_off_and_a_wrong_shape_is_refused() -> None:
+    rng = np.random.default_rng(0)
+    assert Transport(rng, R, N, 0, churn=trivial_schedule_batch(N, R)).churn is None
+    with pytest.raises(ValueError, match="churn schedule is for shape"):
+        Transport(rng, R, N, 0, churn=trivial_schedule_batch(N + 1, R))
