@@ -49,8 +49,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolComparisonConfig(qs=(1.5,))
         with pytest.raises(ValueError):
-            ProtocolComparisonConfig(engine="vectorised")
-        with pytest.raises(ValueError):
             ProtocolComparisonConfig().with_scale(0.0)
 
 
@@ -60,14 +58,14 @@ class TestRun:
         return run_protocol_comparison(small_config())
 
     def test_grid_is_complete(self, result):
-        assert len(result.points) == 6 * 3
+        assert len(result.cells) == 6 * 3
         assert len(result.protocols()) == 6
         for protocol in result.protocols():
-            series = result.series_for(protocol)
+            series = result.series(protocol, "q")
             assert [p.q for p in series] == [0.5, 0.9, 1.0]
 
     def test_measurements_are_sane(self, result):
-        for point in result.points:
+        for point in result.cells:
             assert 0.0 <= point.reliability <= 1.0
             assert 0.0 <= point.atomic_rate <= 1.0
             assert point.mean_rounds >= 0.0
@@ -97,23 +95,8 @@ class TestRun:
     def test_deterministic_for_seed(self):
         a = run_protocol_comparison(small_config(qs=(0.9,), repetitions=6))
         b = run_protocol_comparison(small_config(qs=(0.9,), repetitions=6))
-        for pa, pb in zip(a.points, b.points, strict=True):
+        for pa, pb in zip(a.cells, b.cells, strict=True):
             assert pa == pb
-
-    def test_scalar_engine_agrees_with_batch(self):
-        config = small_config(qs=(0.9,), repetitions=16)
-        batch = run_protocol_comparison(config)
-        scalar = run_protocol_comparison(
-            ProtocolComparisonConfig(
-                n=200, qs=(0.9,), repetitions=16, seed=42, engine="scalar"
-            )
-        )
-        for protocol in batch.protocols():
-            gap = abs(
-                batch.point(protocol, 0.9).reliability
-                - scalar.point(protocol, 0.9).reliability
-            )
-            assert gap < 0.1, f"{protocol}: batch vs scalar gap {gap:.3f}"
 
 
 class TestRegistry:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.distributions import PoissonFanout
+from repro.experiments.protocol_comparison import protocol_zoo
 from repro.protocols import (
     FixedFanoutGossip,
     FloodingProtocol,
@@ -47,6 +48,10 @@ def all_protocols():
         RouteDrivenGossip(fanout=2, rounds=5, pull_fanout=1),
         FloodingProtocol(degree=4),
     ]
+
+
+#: The experiments' dimensioning of the same six protocols.
+ZOO_PARAMS = [pytest.param(protocol, id=f"zoo-{pid}") for pid, protocol in protocol_zoo(4, 8)]
 
 
 @pytest.fixture(params=all_protocols(), ids=lambda p: p.name)
@@ -151,6 +156,10 @@ class TestBatchBasics:
 
 class TestDistributionEquivalence:
     """Each batched protocol matches its scalar pin in distribution."""
+
+    @pytest.fixture(params=[*all_protocols(), *ZOO_PARAMS], ids=lambda p: p.name)
+    def protocol(self, request):
+        return request.param
 
     @pytest.mark.parametrize("n,repetitions", [(50, 150), (500, 60)])
     def test_delivery_and_reliability_match(self, protocol, n, repetitions):
