@@ -42,7 +42,6 @@ from repro.graphs.ensemble import (
 from repro.graphs.configuration_model import (
     configuration_model_edges,
     directed_configuration_edges,
-    to_networkx,
 )
 from repro.graphs.gossip_graph import GossipGraph, build_gossip_graph
 from repro.graphs.metrics import (
@@ -66,7 +65,6 @@ __all__ = [
     "percolation_ensemble",
     "configuration_model_edges",
     "directed_configuration_edges",
-    "to_networkx",
     "GossipGraph",
     "build_gossip_graph",
     "degree_statistics",

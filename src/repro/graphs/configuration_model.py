@@ -17,28 +17,20 @@ provided:
   configuration model (Newman–Strogatz–Watts), used to validate the
   percolation formulas on their "native" ensemble.
 
-Both return plain ``(m, 2)`` edge arrays; :func:`to_networkx` converts to a
-:mod:`networkx` graph when richer graph algorithms are wanted (the networkx
-import happens lazily there, so the graph hot path never pays for it).
+Both return plain ``(m, 2)`` edge arrays.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.sampling import sample_distinct_rows
-from repro.utils.validation import check_choice, check_integer
-
-if TYPE_CHECKING:  # pragma: no cover - import kept lazy at runtime
-    import networkx as nx
+from repro.utils.validation import check_choice
 
 __all__ = [
     "configuration_model_edges",
     "directed_configuration_edges",
-    "to_networkx",
 ]
 
 
@@ -180,15 +172,3 @@ def configuration_model_edges(
         pairs = np.column_stack([lo[first], hi[first]])
     return pairs.astype(np.int64)
 
-
-def to_networkx(n: int, edges: np.ndarray, *, directed: bool = True) -> "nx.Graph":
-    """Convert an edge array into a networkx graph with nodes ``0..n-1``."""
-    import networkx as nx
-
-    n = check_integer("n", n, minimum=0)
-    graph = nx.DiGraph() if directed else nx.Graph()
-    graph.add_nodes_from(range(n))
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.size:
-        graph.add_edges_from(map(tuple, edges))
-    return graph

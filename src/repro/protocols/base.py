@@ -14,11 +14,9 @@ Protocols execute at two granularities:
 * :meth:`Protocol.run_batch` — ``R`` independent executions propagated as
   ``(R, n)`` array programs through
   :func:`repro.simulation.protocol_batch.simulate_protocol_batch`.  Bundled
-  protocols override the :meth:`Protocol._disseminate_batch` hook with
-  vectorised implementations that send through a
-  :class:`~repro.simulation.transport.Transport`; the base class falls back
-  to replaying the scalar ``_disseminate`` per replica, so any subclass
-  works (just without the speedup).
+  protocols implement the :meth:`Protocol._disseminate_batch` hook as
+  vectorised programs that send through a
+  :class:`~repro.simulation.transport.Transport`.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from repro.utils.validation import check_integer, check_probability
 
 if TYPE_CHECKING:
     from repro.simulation.churn import ChurnModel, ChurnScheduleBatch
-    from repro.simulation.protocol_batch import BatchProtocolResult
+    from repro.simulation.metrics import BatchResult
 
 __all__ = ["Protocol", "ProtocolResult"]
 
@@ -114,8 +112,8 @@ class Protocol(ABC):
     messages_sent, rounds, control_messages_sent)``.  The shared :meth:`run`
     method handles failure drawing and bookkeeping so every protocol is
     evaluated under exactly the same fault model as the paper's algorithm.
-    Batched execution goes through :meth:`_disseminate_batch` (same contract
-    with a leading replica axis).
+    Subclasses also implement :meth:`_disseminate_batch`, the same contract
+    with a leading replica axis, which batched execution goes through.
     """
 
     #: human-readable protocol name (overridden by subclasses)
@@ -181,12 +179,12 @@ class Protocol(ABC):
         network: NetworkModel | None = None,
         churn: ChurnModel | ChurnScheduleBatch | None = None,
         round_period: float = 1.0,
-    ) -> BatchProtocolResult:
+    ) -> BatchResult:
         """Run ``repetitions`` independent executions as one ``(R, n)`` array program.
 
         Convenience wrapper around
         :func:`repro.simulation.protocol_batch.simulate_protocol_batch`;
-        returns a :class:`~repro.simulation.protocol_batch.BatchProtocolResult`.
+        returns a :class:`~repro.simulation.metrics.BatchResult`.
         ``churn`` optionally supplies the dynamic-membership plane (a
         :class:`~repro.simulation.churn.ChurnModel` or a pre-drawn
         :class:`~repro.simulation.churn.ChurnScheduleBatch`); ``round_period``
@@ -225,6 +223,7 @@ class Protocol(ABC):
         law via :meth:`~repro.simulation.network.NetworkModel.draw_loss`.
         """
 
+    @abstractmethod
     def _disseminate_batch(
         self,
         n: int,
@@ -235,32 +234,7 @@ class Protocol(ABC):
     ) -> BatchOutcome:
         """Batched dissemination hook: ``(R, n)`` alive masks in, per-replica results out.
 
-        Bundled protocols send every message through ``transport``, which
-        applies the run's loss, churn and latency planes.  This base
-        implementation replays the scalar :meth:`_disseminate` once per
-        replica instead — correct for any static-membership protocol, but it
-        tracks no delivery times, so its outcome is untimed.
+        Every message is sent through ``transport``, which applies the run's
+        loss, churn and latency planes; the outcome's ``delivered`` masks
+        need not exclude failed members (the dispatcher masks them).
         """
-        if transport.churn is not None:
-            raise NotImplementedError(
-                f"protocol {self.name!r} has no batched churn-aware hook; the "
-                "scalar-replay fallback cannot apply per-round join/leave events"
-            )
-        network = transport.network
-        repetitions = int(alive.shape[0])
-        delivered = np.zeros((repetitions, n), dtype=bool)
-        messages = np.zeros(repetitions, dtype=np.int64)
-        dropped = np.zeros(repetitions, dtype=np.int64)
-        rounds = np.zeros(repetitions, dtype=np.int64)
-        control = np.zeros(repetitions, dtype=np.int64)
-        for replica in range(repetitions):
-            dropped_before = network.messages_dropped if network is not None else 0
-            (
-                delivered[replica],
-                messages[replica],
-                rounds[replica],
-                control[replica],
-            ) = self._disseminate(n, alive[replica], source, rng, network)
-            if network is not None:
-                dropped[replica] = network.messages_dropped - dropped_before
-        return BatchOutcome(delivered, messages, dropped, rounds, control=control, timed=False)

@@ -359,10 +359,6 @@ def _build_cell(args: tuple) -> tuple:
             seed=seed,
             network=network,
         )
-        reliability = result.reliability()
-        if conditional:
-            reliability = np.where(result.spread_occurred(), reliability, 0.0)
-        cost = float(np.mean(result.messages_sent / n))
     else:
         from repro.experiments.protocol_comparison import protocol_zoo
 
@@ -371,8 +367,10 @@ def _build_cell(args: tuple) -> tuple:
         result = simulate_protocol_batch(
             zoo[protocol], n, q, repetitions=repetitions, seed=seed, network=network
         )
-        reliability = result.reliability()
-        cost = float(np.mean(result.payload_messages_per_member()))
+    reliability = result.reliability()
+    if conditional and protocol in GOSSIP_PROTOCOLS:
+        reliability = np.where(result.spread_occurred(), reliability, 0.0)
+    cost = float(np.mean(result.payload_messages_per_member()))
     lo, hi = wilson_interval(float(np.sum(reliability)), len(reliability), confidence)
     return float(np.mean(reliability)), lo, hi, cost
 

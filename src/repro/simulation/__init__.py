@@ -28,9 +28,10 @@ plane (:mod:`repro.simulation.churn`) adds time-varying join/leave schedules
 drawn as compact ``(R, n)`` event planes: pass a ``ChurnModel`` or
 ``ChurnScheduleBatch`` to either batched engine and members enter and leave
 mid-dissemination, with survivor-aware reliability accounting on
-``BatchProtocolResult``.  The latency plane (:mod:`repro.simulation.latency`)
-closes the loop with the event-driven reference: the same ``NetworkModel``
-latency samplers drive a :class:`~repro.simulation.latency.DeliveryTimePlane`
+``BatchResult``, the one result type of both batched engines.  The latency
+plane (:mod:`repro.simulation.latency`) closes the loop with the
+event-driven reference: the same ``NetworkModel`` latency samplers drive a
+:class:`~repro.simulation.latency.DeliveryTimePlane`
 that discretises per-message delays onto the round clock, so both batched
 engines report per-member ``delivery_times`` and tail percentiles
 (``delivery_percentiles``) at batched speed — bit-identical to the
@@ -73,17 +74,14 @@ from repro.simulation.latency import (
     percentile_label,
 )
 from repro.simulation.gossip import (
-    BatchGossipResult,
     GossipExecution,
     simulate_gossip_batch,
     simulate_gossip_once,
     simulate_gossip_event_driven,
 )
-from repro.simulation.protocol_batch import (
-    BatchProtocolResult,
-    simulate_protocol_batch,
-)
+from repro.simulation.protocol_batch import simulate_protocol_batch
 from repro.simulation.metrics import (
+    BatchResult,
     ReliabilityEstimate,
     SuccessCountResult,
     summarize_executions,
@@ -120,12 +118,11 @@ __all__ = [
     "delivery_percentiles",
     "percentile_label",
     "GossipExecution",
-    "BatchGossipResult",
     "simulate_gossip_once",
     "simulate_gossip_batch",
     "simulate_gossip_event_driven",
-    "BatchProtocolResult",
     "simulate_protocol_batch",
+    "BatchResult",
     "ReliabilityEstimate",
     "SuccessCountResult",
     "summarize_executions",

@@ -27,10 +27,11 @@ Three implementations of the same protocol are provided:
   the integration tests check exactly that.
 
 The scalar simulators return :class:`GossipExecution`; the batched engine
-returns :class:`BatchGossipResult`, which carries the per-replica arrays and
-converts to per-execution records on demand.  The batched and scalar engines
-agree in distribution (identical per-replica semantics, different draw
-order); ``tests/simulation/test_gossip_batch.py`` pins them together.
+returns the :class:`~repro.simulation.metrics.BatchResult` columns that the
+protocol dispatcher returns too, with the per-replica ``duplicates`` in its
+``stats``.  The batched and scalar engines agree in distribution (identical
+per-replica semantics, different draw order);
+``tests/simulation/test_gossip_batch.py`` pins them together.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.simulation.engine import EventScheduler
 from repro.simulation.failures import FailurePattern, UniformCrashModel
 from repro.simulation.latency import delivery_percentiles
 from repro.simulation.membership import FullView, MembershipView
-from repro.simulation.metrics import ExecutionMetrics
+from repro.simulation.metrics import BatchResult, ExecutionMetrics
 from repro.simulation.network import NetworkModel
 from repro.simulation.node import Member
 from repro.simulation.transport import Transport
@@ -55,7 +56,6 @@ from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
     "GossipExecution",
-    "BatchGossipResult",
     "simulate_gossip_once",
     "simulate_gossip_batch",
     "simulate_gossip_event_driven",
@@ -271,135 +271,6 @@ def simulate_gossip_once(
     )
 
 
-@dataclass(frozen=True)
-class BatchGossipResult:
-    """Outcome of ``R`` replica executions propagated by the batched engine.
-
-    Every attribute is the batched analogue of the corresponding
-    :class:`GossipExecution` field, with a leading replica axis.
-
-    Attributes
-    ----------
-    n:
-        Group size.
-    source:
-        Source member identifier (shared by all replicas).
-    alive:
-        ``(R, n)`` boolean masks of nonfailed members.
-    delivered:
-        ``(R, n)`` boolean masks of members that received the message.
-    rounds:
-        ``(R,)`` gossip hops until each replica's dissemination died out.
-    messages_sent:
-        ``(R,)`` total messages sent per replica.
-    duplicates:
-        ``(R,)`` messages that hit already-infected members, per replica.
-    messages_dropped:
-        ``(R,)`` messages lost in transit per replica (all zero without a
-        lossy network).
-    delivery_times:
-        Optional ``(R, n)`` float array of first-receipt times on the round
-        clock (``round * round_period + latency``; ``inf`` where
-        undelivered).  Present exactly when the batch ran with a network —
-        the latency plane is part of the network model's contract — and
-        ``None`` otherwise.
-    """
-
-    n: int
-    source: int
-    alive: np.ndarray
-    delivered: np.ndarray
-    rounds: np.ndarray
-    messages_sent: np.ndarray
-    duplicates: np.ndarray
-    messages_dropped: np.ndarray | None = None
-    delivery_times: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.messages_dropped is None:
-            object.__setattr__(
-                self, "messages_dropped", np.zeros_like(np.asarray(self.messages_sent))
-            )
-
-    @property
-    def repetitions(self) -> int:
-        """Return the number of replicas ``R``."""
-        return int(self.alive.shape[0])
-
-    def n_alive(self) -> np.ndarray:
-        """Return the per-replica number of nonfailed members, shape ``(R,)``."""
-        return self.alive.sum(axis=1)
-
-    def n_delivered(self) -> np.ndarray:
-        """Return the per-replica number of reached nonfailed members, shape ``(R,)``."""
-        return self.delivered.sum(axis=1)
-
-    def reliability(self) -> np.ndarray:
-        """Return the per-replica realised reliability, shape ``(R,)``."""
-        return self.n_delivered() / self.n_alive()
-
-    def success(self, threshold: float = 1.0) -> np.ndarray:
-        """Return per-replica success flags (reliability >= ``threshold``)."""
-        threshold = check_probability("threshold", threshold)
-        return self.reliability() >= threshold - 1e-12
-
-    def spread_occurred(self, min_delivered: int | None = None) -> np.ndarray:
-        """Return per-replica epidemic-took-off flags (see ``GossipExecution``)."""
-        if min_delivered is None:
-            min_delivered = max(10, int(np.sqrt(self.n)))
-        return self.n_delivered() > min_delivered
-
-    def delivery_percentiles(
-        self, percentiles: tuple[float, ...] = (50.0, 99.0, 99.9)
-    ) -> dict[str, float]:
-        """Pooled delivery-time percentiles across all replicas (p50/p99/p999)."""
-        if self.delivery_times is None:
-            raise ValueError(
-                "no delivery times recorded: run the batch with a network model "
-                "to enable the latency plane"
-            )
-        return delivery_percentiles(self.delivery_times, percentiles)
-
-    def execution(self, replica: int) -> GossipExecution:
-        """Return one replica as a scalar :class:`GossipExecution` record."""
-        replica = check_integer("replica", replica, minimum=0, maximum=self.repetitions - 1)
-        return GossipExecution(
-            n=self.n,
-            source=self.source,
-            alive=self.alive[replica],
-            delivered=self.delivered[replica],
-            rounds=int(self.rounds[replica]),
-            messages_sent=int(self.messages_sent[replica]),
-            duplicates=int(self.duplicates[replica]),
-            messages_dropped=int(self.messages_dropped[replica]),
-            delivery_times=(
-                self.delivery_times[replica] if self.delivery_times is not None else None
-            ),
-        )
-
-    def metrics(self) -> list[ExecutionMetrics]:
-        """Return per-replica flat metric records (vectorised, no per-row sims)."""
-        n_alive = self.n_alive()
-        n_delivered = self.n_delivered()
-        reliability = self.reliability()
-        success = self.success()
-        spread = self.spread_occurred()
-        return [
-            ExecutionMetrics(
-                n=self.n,
-                n_alive=int(n_alive[r]),
-                n_reached_alive=int(n_delivered[r]),
-                reliability=float(reliability[r]),
-                rounds=int(self.rounds[r]),
-                messages_sent=int(self.messages_sent[r]),
-                duplicates=int(self.duplicates[r]),
-                success=bool(success[r]),
-                spread=bool(spread[r]),
-            )
-            for r in range(self.repetitions)
-        ]
-
-
 def simulate_gossip_batch(
     n: int,
     distribution: FanoutDistribution,
@@ -414,7 +285,7 @@ def simulate_gossip_batch(
     churn: ChurnScheduleBatch | None = None,
     transport: Transport | None = None,
     round_period: float = 1.0,
-) -> BatchGossipResult:
+) -> BatchResult:
     """Run ``repetitions`` independent gossip executions as one array program.
 
     Semantically each replica is an independent :func:`simulate_gossip_once`
@@ -455,13 +326,16 @@ def simulate_gossip_batch(
         longer present stop forwarding, and sends to targets absent when the
         message is sent or when it lands are wasted: they count as sent but
         never arrive (they are *not* network drops — the peer simply is not
-        there).  A trivial schedule is skipped entirely, so zero churn is
-        bit-for-bit identical to the ``churn=None`` path.
+        there).  The result's ``present`` masks record who was still in the
+        group when each replica finished.  A trivial schedule is skipped
+        entirely, so zero churn is bit-for-bit identical to the
+        ``churn=None`` path.
     transport:
         Optional fresh :class:`~repro.simulation.transport.Transport` that
         already carries the run's planes (the fixed- and random-fanout
         protocol hooks pass the dispatcher's, which finalizes the delivery
-        times itself, so the result's ``delivery_times`` is ``None``).
+        times and the ``present`` masks itself, so the result reports
+        neither).
         ``network`` and ``churn`` must then be left unset.  When ``None``,
         the engine builds its own from ``network``, ``churn`` and
         ``round_period``.
@@ -561,18 +435,19 @@ def simulate_gossip_batch(
     duplicates = (
         messages_sent - transport.dropped - transport.wasted - (received.sum(axis=1) - 1)
     )
-    delivery_times = plane.finalize(delivered) if owns_transport and plane is not None else None
-
-    return BatchGossipResult(
+    schedule = transport.churn if owns_transport else None
+    return BatchResult(
         n=n,
         source=source,
         alive=alive_masks,
         delivered=delivered,
         rounds=rounds,
         messages_sent=messages_sent,
-        duplicates=duplicates,
         messages_dropped=transport.dropped.copy(),
-        delivery_times=delivery_times,
+        present=schedule.present_at_rounds(rounds) if schedule is not None else None,
+        wasted=transport.wasted.copy(),
+        delivery_times=plane.finalize(delivered) if owns_transport and plane is not None else None,
+        stats={"duplicates": duplicates},
     )
 
 

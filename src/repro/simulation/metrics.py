@@ -1,9 +1,11 @@
 """Result records and aggregation for simulation experiments.
 
-Three levels of results exist:
+Four levels of results exist:
 
 * :class:`ExecutionMetrics` — what one execution of the gossip algorithm
   produced (reached members, message counts, rounds).
+* :class:`BatchResult` — what ``R`` replica executions produced, one column
+  per quantity with a leading replica axis; both batched engines return it.
 * :class:`ReliabilityEstimate` — aggregation of many independent executions
   of the same configuration (the paper's "run 20 times and average").
 * :class:`SuccessCountResult` — the Figs. 6-7 object: the empirical
@@ -14,16 +16,24 @@ Three levels of results exist:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.core.success import success_count_pmf
+from repro.simulation.latency import delivery_percentiles
+from repro.utils.validation import check_probability
+
+if TYPE_CHECKING:
+    from repro.simulation.failures import FailurePatternBatch
 
 __all__ = [
+    "BatchResult",
     "ExecutionMetrics",
     "ReliabilityEstimate",
     "SuccessCountResult",
     "summarize_executions",
+    "summarize_replicas",
 ]
 
 
@@ -65,6 +75,195 @@ class ExecutionMetrics:
     duplicates: int
     success: bool
     spread: bool = True
+
+
+@dataclass(frozen=True)
+class BatchResult:
+    """Outcome of ``R`` replica executions of one batched run.
+
+    Both batched engines return it:
+    :func:`~repro.simulation.gossip.simulate_gossip_batch` for the paper's
+    algorithm and :func:`~repro.simulation.protocol_batch.simulate_protocol_batch`
+    for any protocol.  Every column has a leading replica axis.
+
+    Attributes
+    ----------
+    n:
+        Group size.
+    source:
+        Source member identifier (shared by all replicas).
+    alive:
+        ``(R, n)`` boolean masks of nonfailed members.
+    delivered:
+        ``(R, n)`` boolean masks of nonfailed members holding the message
+        (the source always among them).
+    rounds:
+        ``(R,)`` rounds / gossip hops until each replica's dissemination ended.
+    messages_sent:
+        ``(R,)`` point-to-point messages per replica, payload and control.
+    messages_dropped:
+        ``(R,)`` messages lost in transit per replica (all zero without a
+        lossy network).
+    protocol:
+        Protocol name on dispatcher results; ``None`` from the gossip engine.
+    present:
+        Optional ``(R, n)`` masks of members still in the group when each
+        replica's dissemination ended (``None`` for churn-free runs, where
+        everyone is present throughout).  Together with ``alive`` this
+        defines the **survivors**, the denominator of the churn metrics.
+    wasted:
+        Optional ``(R,)`` messages sent to, or landing on, absent members:
+        sent, but neither dropped by the network nor delivered.
+    control_messages_sent:
+        Optional ``(R,)`` counts of control messages (digests, IHAVE/IWANT,
+        pull requests), the subset of ``messages_sent`` that carried no
+        payload.  ``None`` for engines that only ever push payload.
+    delivery_times:
+        Optional ``(R, n)`` float array of first-receipt times on the round
+        clock (``inf`` where undelivered).  Present when the run had a
+        network model (the latency plane comes with it), else ``None``; a
+        gossip run inside a protocol hook leaves it to the dispatcher.
+    failure:
+        The failure pattern the dispatcher's replicas ran under (crash timing
+        included); ``None`` from the gossip engine, which draws alive masks.
+    stats:
+        Optional engine-specific measurements: the gossip engine's
+        ``duplicates``, HyParView's view repairs, lazy-push's IWANT
+        bookkeeping; ``None`` when there are none.
+    """
+
+    n: int
+    source: int
+    alive: np.ndarray
+    delivered: np.ndarray
+    rounds: np.ndarray
+    messages_sent: np.ndarray
+    messages_dropped: np.ndarray
+    protocol: str | None = None
+    present: np.ndarray | None = None
+    wasted: np.ndarray | None = None
+    control_messages_sent: np.ndarray | None = None
+    delivery_times: np.ndarray | None = None
+    failure: FailurePatternBatch | None = None
+    stats: dict[str, Any] | None = None
+
+    @property
+    def repetitions(self) -> int:
+        """Return the number of replicas ``R``."""
+        return int(self.alive.shape[0])
+
+    @property
+    def duplicates(self) -> np.ndarray:
+        """Return ``(R,)`` messages that reached a member already holding the message.
+
+        Only the gossip engine counts them; on other results the attribute
+        is missing (``AttributeError``), so ``getattr`` with a default works.
+        """
+        if self.stats is None or "duplicates" not in self.stats:
+            raise AttributeError("this run did not count duplicate deliveries")
+        duplicates: np.ndarray = self.stats["duplicates"]
+        return duplicates
+
+    def n_alive(self) -> np.ndarray:
+        """Return the per-replica number of nonfailed members, shape ``(R,)``."""
+        return self.alive.sum(axis=1)
+
+    def n_delivered(self) -> np.ndarray:
+        """Return the per-replica number of reached nonfailed members, shape ``(R,)``."""
+        return self.delivered.sum(axis=1)
+
+    def reliability(self) -> np.ndarray:
+        """Return the per-replica delivered/alive ratio, shape ``(R,)``."""
+        return self.n_delivered() / self.n_alive()
+
+    def success(self, threshold: float = 1.0) -> np.ndarray:
+        """Return per-replica success flags (reliability >= ``threshold``)."""
+        threshold = check_probability("threshold", threshold)
+        return self.reliability() >= threshold - 1e-12
+
+    def spread_occurred(self, min_delivered: int | None = None) -> np.ndarray:
+        """Return per-replica epidemic-took-off flags.
+
+        A replica took off when it delivered more than ``min_delivered``
+        members, by default ``max(10, sqrt(n))``; see
+        :meth:`repro.simulation.gossip.GossipExecution.spread_occurred`.
+        """
+        if min_delivered is None:
+            min_delivered = max(10, int(np.sqrt(self.n)))
+        return self.n_delivered() > min_delivered
+
+    def is_atomic(self) -> np.ndarray:
+        """Return per-replica flags: every nonfailed member got the message."""
+        return ~np.any(self.alive & ~self.delivered, axis=1)
+
+    def messages_per_member(self) -> np.ndarray:
+        """Return the per-replica message cost normalised by group size."""
+        return self.messages_sent / self.n
+
+    def drop_rate(self) -> np.ndarray:
+        """Return the per-replica fraction of sent messages lost in transit."""
+        return self.messages_dropped / np.maximum(self.messages_sent, 1)
+
+    def control_messages(self) -> np.ndarray:
+        """Return ``(R,)`` control-message counts (zeros for all-payload engines)."""
+        if self.control_messages_sent is None:
+            return np.zeros_like(self.messages_sent)
+        return self.control_messages_sent
+
+    def payload_messages_sent(self) -> np.ndarray:
+        """Return ``(R,)`` payload-carrying message counts (total minus control)."""
+        return self.messages_sent - self.control_messages()
+
+    def payload_messages_per_member(self) -> np.ndarray:
+        """Return the per-replica payload-only message cost normalised by group size."""
+        return self.payload_messages_sent() / self.n
+
+    def control_messages_per_member(self) -> np.ndarray:
+        """Return the per-replica control-message cost normalised by group size."""
+        return self.control_messages() / self.n
+
+    def survivors(self) -> np.ndarray:
+        """Return ``(R, n)`` masks of nonfailed members still present at the end.
+
+        Without churn this is exactly ``alive``; under churn a member counts
+        only if it neither crashed nor left before its replica's
+        dissemination finished.
+        """
+        if self.present is None:
+            return self.alive
+        return self.alive & self.present
+
+    def n_survivors(self) -> np.ndarray:
+        """Return the per-replica number of survivors, shape ``(R,)``."""
+        return self.survivors().sum(axis=1)
+
+    def survivor_fraction(self) -> np.ndarray:
+        """Return the per-replica fraction of nonfailed members that survived churn."""
+        return self.n_survivors() / np.maximum(self.n_alive(), 1)
+
+    def reliability_among_survivors(self) -> np.ndarray:
+        """Return the per-replica delivered/survivor ratio, shape ``(R,)``.
+
+        The churn-resilience headline metric: of the members that were still
+        nonfailed *and present* when dissemination ended, how many hold the
+        message?  Members that received and then left neither help nor hurt.
+        Identical to :meth:`reliability` for churn-free runs.
+        """
+        survivors = self.survivors()
+        return (self.delivered & survivors).sum(axis=1) / np.maximum(
+            survivors.sum(axis=1), 1
+        )
+
+    def delivery_percentiles(
+        self, percentiles: tuple[float, ...] = (50.0, 99.0, 99.9)
+    ) -> dict[str, float]:
+        """Pooled delivery-time percentiles across all replicas (p50/p99/p999)."""
+        if self.delivery_times is None:
+            raise ValueError(
+                "no delivery times recorded: run the batch with a network model "
+                "to enable the latency plane"
+            )
+        return delivery_percentiles(self.delivery_times, percentiles)
 
 
 @dataclass(frozen=True)
@@ -110,33 +309,60 @@ def summarize_executions(
 ) -> ReliabilityEstimate:
     """Aggregate per-execution metrics into a :class:`ReliabilityEstimate`.
 
-    When ``conditional_on_spread`` is True the reliability statistics are
-    computed only over executions whose dissemination took off (the
-    epidemic-occurred convention that matches the analytical giant-component
-    size); if no execution spread, the unconditional statistics are reported.
-    The ``spread_rate`` is always computed over all executions.
+    The record-list spelling of :func:`summarize_replicas`, for executions
+    run one at a time.
     """
-    if not executions:
-        raise ValueError("cannot summarize an empty list of executions")
-    spread_flags = np.array([e.spread for e in executions], dtype=bool)
-    selected = executions
-    if conditional_on_spread and spread_flags.any():
-        selected = [e for e, s in zip(executions, spread_flags, strict=True) if s]
-    samples = np.array([e.reliability for e in selected], dtype=float)
-    rounds = np.array([e.rounds for e in selected], dtype=float)
-    messages = np.array([e.messages_sent for e in selected], dtype=float)
-    successes = np.array([e.success for e in executions], dtype=float)
+    return summarize_replicas(
+        np.array([e.reliability for e in executions], dtype=float),
+        np.array([e.rounds for e in executions]),
+        np.array([e.messages_sent for e in executions]),
+        np.array([e.success for e in executions], dtype=bool),
+        np.array([e.spread for e in executions], dtype=bool),
+        n=n,
+        q=q,
+        mean_fanout=mean_fanout,
+        conditional_on_spread=conditional_on_spread,
+    )
+
+
+def summarize_replicas(
+    reliability: np.ndarray,
+    rounds: np.ndarray,
+    messages_sent: np.ndarray,
+    success: np.ndarray,
+    spread: np.ndarray,
+    *,
+    n: int,
+    q: float,
+    mean_fanout: float,
+    conditional_on_spread: bool = False,
+) -> ReliabilityEstimate:
+    """Aggregate per-replica columns into a :class:`ReliabilityEstimate`.
+
+    The columns are ``(R,)`` arrays, as a :class:`BatchResult` reports them:
+    ``reliability()``, ``rounds``, ``messages_sent``, ``success()`` and
+    ``spread_occurred()``.  When ``conditional_on_spread`` is True the
+    reliability, rounds and message statistics are computed only over
+    replicas whose dissemination took off (the epidemic-occurred convention
+    that matches the analytical giant-component size); if none spread, the
+    unconditional statistics are reported.  The ``success_rate`` and
+    ``spread_rate`` are always computed over all replicas.
+    """
+    if len(reliability) == 0:
+        raise ValueError("cannot summarize an empty set of executions")
+    selected = spread if conditional_on_spread and spread.any() else np.ones_like(spread)
+    samples = np.asarray(reliability, dtype=float)[selected]
     return ReliabilityEstimate(
         n=n,
         q=q,
         mean_fanout=mean_fanout,
-        repetitions=len(selected),
+        repetitions=len(samples),
         mean_reliability=float(samples.mean()),
-        std_reliability=float(samples.std(ddof=1)) if len(selected) > 1 else 0.0,
-        mean_rounds=float(rounds.mean()),
-        mean_messages=float(messages.mean()),
-        success_rate=float(successes.mean()),
-        spread_rate=float(spread_flags.mean()),
+        std_reliability=float(samples.std(ddof=1)) if len(samples) > 1 else 0.0,
+        mean_rounds=float(np.asarray(rounds, dtype=float)[selected].mean()),
+        mean_messages=float(np.asarray(messages_sent, dtype=float)[selected].mean()),
+        success_rate=float(np.asarray(success, dtype=float).mean()),
+        spread_rate=float(spread.mean()),
         conditional_on_spread=bool(conditional_on_spread),
         samples=samples,
     )

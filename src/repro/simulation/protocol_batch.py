@@ -16,8 +16,7 @@ This module extends that treatment from the paper's algorithm to **every**
   shared :mod:`repro.utils.sampling` kernels (flooding = one overlay build +
   frontier waves in chunk-global node ids, pbcast/lpbcast = buffered rounds
   with batched view sampling, RDG = batched push masks + pull masks per
-  round), while the base class provides a scalar-replay fallback so any
-  external subclass works unbatched;
+  round);
 * the loss, churn and latency planes reach every hook through one
   :class:`~repro.simulation.transport.Transport` built here, and every hook
   returns a :class:`~repro.simulation.transport.BatchOutcome`; an optional
@@ -25,7 +24,8 @@ This module extends that treatment from the paper's algorithm to **every**
   send list with one independent Bernoulli draw
   (:meth:`~repro.simulation.network.NetworkModel.draw_loss_batch`) and the
   per-replica ``messages_sent`` / ``messages_dropped`` accounting surfaces on
-  :class:`BatchProtocolResult`;
+  the :class:`~repro.simulation.metrics.BatchResult` both batched engines
+  return;
 * the scalar :meth:`~repro.protocols.base.Protocol.run` stays the exact
   behavioural reference — ``tests/protocols/test_protocol_batch.py`` pins
   each batched protocol to its scalar pin through the shared statistical
@@ -38,18 +38,13 @@ and every protocol consumes the same target-drawing law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.simulation.churn import ChurnModel, ChurnScheduleBatch
-from repro.simulation.failures import (
-    FailureModel,
-    FailurePatternBatch,
-    UniformCrashModel,
-)
-from repro.simulation.latency import delivery_percentiles
+from repro.simulation.failures import FailureModel, UniformCrashModel
+from repro.simulation.metrics import BatchResult
 from repro.simulation.network import NetworkModel
 from repro.simulation.transport import Transport
 from repro.utils.rng import SeedLike, as_generator
@@ -57,187 +52,12 @@ from repro.utils.sampling import sample_distinct_rows_excluding
 from repro.utils.validation import check_integer, check_probability
 
 if TYPE_CHECKING:
-    from repro.protocols.base import Protocol, ProtocolResult
+    from repro.protocols.base import Protocol
 
 __all__ = [
-    "BatchProtocolResult",
     "simulate_protocol_batch",
     "sample_group_targets_batch",
 ]
-
-
-@dataclass(frozen=True)
-class BatchProtocolResult:
-    """Outcome of ``R`` replica runs of one protocol, propagated as a batch.
-
-    Every attribute is the batched analogue of the corresponding
-    :class:`~repro.protocols.base.ProtocolResult` field, with a leading
-    replica axis.
-
-    Attributes
-    ----------
-    protocol:
-        Protocol name.
-    n:
-        Group size.
-    source:
-        Source member identifier (shared by all replicas).
-    alive:
-        ``(R, n)`` boolean masks of nonfailed members.
-    delivered:
-        ``(R, n)`` boolean masks of nonfailed members holding the message.
-    messages_sent:
-        ``(R,)`` total point-to-point messages per replica.
-    messages_dropped:
-        ``(R,)`` messages lost in transit per replica (all zero unless a
-        lossy :class:`~repro.simulation.network.NetworkModel` was supplied).
-    rounds:
-        ``(R,)`` protocol rounds / gossip hops executed per replica.
-    failure:
-        The batch failure pattern the replicas ran under (crash timing
-        included, for mid-execution-crash bookkeeping).
-    present:
-        Optional ``(R, n)`` masks of members still in the group when each
-        replica's dissemination ended (``None`` for churn-free runs, where
-        everyone is present throughout).  Together with ``alive`` this
-        defines the **survivors** — the denominator of the churn-resilience
-        metrics.
-    control_messages_sent:
-        Optional ``(R,)`` per-replica counts of control messages (digests,
-        IHAVE/IWANT, pull requests) — the subset of ``messages_sent`` that
-        carried no payload.  ``None`` for protocols that never distinguish
-        control traffic (treated as all-payload).
-    delivery_times:
-        Optional ``(R, n)`` float array of first-receipt times on the round
-        clock (``inf`` where undelivered).  Present when the batch ran with
-        a network model; ``None`` otherwise, and for the scalar-replay
-        fallback, which tracks no times.
-    stats:
-        Optional protocol-specific measurements of the run (HyParView's view
-        repairs, lazy-push's IWANT bookkeeping); ``None`` for protocols that
-        report none.
-    """
-
-    protocol: str
-    n: int
-    source: int
-    alive: np.ndarray
-    delivered: np.ndarray
-    messages_sent: np.ndarray
-    messages_dropped: np.ndarray
-    rounds: np.ndarray
-    failure: FailurePatternBatch
-    present: np.ndarray | None = None
-    control_messages_sent: np.ndarray | None = None
-    delivery_times: np.ndarray | None = None
-    stats: dict[str, Any] | None = None
-
-    @property
-    def repetitions(self) -> int:
-        """Return the number of replicas ``R``."""
-        return int(self.alive.shape[0])
-
-    def n_alive(self) -> np.ndarray:
-        """Return the per-replica number of nonfailed members, shape ``(R,)``."""
-        return self.alive.sum(axis=1)
-
-    def n_delivered(self) -> np.ndarray:
-        """Return the per-replica number of reached nonfailed members, shape ``(R,)``."""
-        return self.delivered.sum(axis=1)
-
-    def reliability(self) -> np.ndarray:
-        """Return the per-replica delivered/alive ratio, shape ``(R,)``."""
-        return self.n_delivered() / self.n_alive()
-
-    def is_atomic(self) -> np.ndarray:
-        """Return per-replica flags: every nonfailed member got the message."""
-        return ~np.any(self.alive & ~self.delivered, axis=1)
-
-    def messages_per_member(self) -> np.ndarray:
-        """Return the per-replica message cost normalised by group size."""
-        return self.messages_sent / self.n
-
-    def drop_rate(self) -> np.ndarray:
-        """Return the per-replica fraction of sent messages lost in transit."""
-        sent = np.maximum(self.messages_sent, 1)
-        return self.messages_dropped / sent
-
-    def control_messages(self) -> np.ndarray:
-        """Return ``(R,)`` control-message counts (zeros for all-payload protocols)."""
-        if self.control_messages_sent is None:
-            return np.zeros_like(self.messages_sent)
-        return self.control_messages_sent
-
-    def payload_messages_sent(self) -> np.ndarray:
-        """Return ``(R,)`` payload-carrying message counts (total minus control)."""
-        return self.messages_sent - self.control_messages()
-
-    def payload_messages_per_member(self) -> np.ndarray:
-        """Return the per-replica payload-only message cost normalised by group size."""
-        return self.payload_messages_sent() / self.n
-
-    def control_messages_per_member(self) -> np.ndarray:
-        """Return the per-replica control-message cost normalised by group size."""
-        return self.control_messages() / self.n
-
-    def survivors(self) -> np.ndarray:
-        """Return ``(R, n)`` masks of nonfailed members still present at the end.
-
-        Without churn this is exactly ``alive``; under churn a member counts
-        only if it neither crashed nor left before its replica's
-        dissemination finished.
-        """
-        if self.present is None:
-            return self.alive
-        return self.alive & self.present
-
-    def n_survivors(self) -> np.ndarray:
-        """Return the per-replica number of survivors, shape ``(R,)``."""
-        return self.survivors().sum(axis=1)
-
-    def survivor_fraction(self) -> np.ndarray:
-        """Return the per-replica fraction of nonfailed members that survived churn."""
-        return self.n_survivors() / np.maximum(self.n_alive(), 1)
-
-    def reliability_among_survivors(self) -> np.ndarray:
-        """Return the per-replica delivered/survivor ratio, shape ``(R,)``.
-
-        The churn-resilience headline metric: of the members that were still
-        nonfailed *and present* when dissemination ended, how many hold the
-        message?  Members that received and then left neither help nor hurt.
-        Identical to :meth:`reliability` for churn-free runs.
-        """
-        survivors = self.survivors()
-        return (self.delivered & survivors).sum(axis=1) / np.maximum(
-            survivors.sum(axis=1), 1
-        )
-
-    def delivery_percentiles(
-        self, percentiles: tuple[float, ...] = (50.0, 99.0, 99.9)
-    ) -> dict[str, float]:
-        """Pooled delivery-time percentiles across all replicas (p50/p99/p999)."""
-        if self.delivery_times is None:
-            raise ValueError(
-                "no delivery times recorded: run the batch with a network model "
-                "and a protocol with a batched hook"
-            )
-        return delivery_percentiles(self.delivery_times, percentiles)
-
-    def result(self, replica: int) -> ProtocolResult:
-        """Return one replica as a scalar :class:`~repro.protocols.base.ProtocolResult`."""
-        from repro.protocols.base import ProtocolResult
-
-        replica = check_integer("replica", replica, minimum=0, maximum=self.repetitions - 1)
-        return ProtocolResult(
-            protocol=self.protocol,
-            n=self.n,
-            alive=self.alive[replica],
-            delivered=self.delivered[replica],
-            messages_sent=int(self.messages_sent[replica]),
-            rounds=int(self.rounds[replica]),
-            messages_dropped=int(self.messages_dropped[replica]),
-            control_messages_sent=int(self.control_messages()[replica]),
-        )
 
 
 def sample_group_targets_batch(
@@ -285,7 +105,7 @@ def simulate_protocol_batch(
     network: NetworkModel | None = None,
     churn: ChurnModel | ChurnScheduleBatch | None = None,
     round_period: float = 1.0,
-) -> BatchProtocolResult:
+) -> BatchResult:
     """Run ``repetitions`` independent executions of ``protocol`` as one array program.
 
     Semantically each replica is an independent
@@ -297,10 +117,8 @@ def simulate_protocol_batch(
     Parameters
     ----------
     protocol:
-        Any :class:`~repro.protocols.base.Protocol`.  The bundled protocols
-        run fully vectorised; subclasses without a batched hook fall back to
-        a scalar replay per replica (same results, no speedup, no delivery
-        times).
+        Any :class:`~repro.protocols.base.Protocol`; its
+        ``_disseminate_batch`` hook runs all replicas at once.
     n, q, source:
         As for :meth:`~repro.protocols.base.Protocol.run`.
     repetitions:
@@ -367,22 +185,21 @@ def simulate_protocol_batch(
     delivered &= alive  # failed members never count as delivered
     delivered[:, source] = True
     schedule = transport.churn
-    present = schedule.present_at_rounds(rounds) if schedule is not None else None
     plane = transport.latency
-    delivery_times = plane.finalize(delivered) if plane is not None and outcome.timed else None
     control = None if outcome.control is None else np.asarray(outcome.control, dtype=np.int64)
-    return BatchProtocolResult(
-        protocol=protocol.name,
+    return BatchResult(
         n=n,
         source=source,
         alive=alive,
         delivered=delivered,
+        rounds=rounds,
         messages_sent=np.asarray(outcome.messages, dtype=np.int64),
         messages_dropped=np.asarray(outcome.dropped, dtype=np.int64),
-        rounds=rounds,
-        failure=failure,
-        present=present,
+        protocol=protocol.name,
+        present=schedule.present_at_rounds(rounds) if schedule is not None else None,
+        wasted=transport.wasted.copy(),
         control_messages_sent=control,
-        delivery_times=delivery_times,
+        delivery_times=plane.finalize(delivered) if plane is not None else None,
+        failure=failure,
         stats=outcome.stats,
     )

@@ -20,7 +20,7 @@ integers/floats so the pool never has to ship generator state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -29,9 +29,11 @@ from repro.core.reliability import reliability as analytical_reliability
 from repro.simulation.gossip import simulate_gossip_batch, simulate_gossip_once
 from repro.simulation.membership import MembershipView
 from repro.simulation.metrics import (
+    BatchResult,
     ExecutionMetrics,
     ReliabilityEstimate,
     summarize_executions,
+    summarize_replicas,
 )
 from repro.utils.parallel import parallel_map
 from repro.utils.rng import SeedLike, as_generator, spawn_seeds
@@ -47,52 +49,34 @@ _CHUNK_REPETITIONS = 8
 
 def _run_replica_batch(
     args: tuple[int, FanoutDistribution, float, int, int, int],
-) -> list[tuple]:
+) -> tuple[np.ndarray, ...]:
     """Process-pool worker: run one chunk of replicas through the batched engine.
 
-    Returns one ``(n_alive, n_reached_alive, reliability, rounds, messages,
-    duplicates, success, spread)`` tuple per replica.
+    Returns the chunk's per-replica columns in :func:`summarize_replicas`
+    order: reliability, rounds, messages, success and spread.
     """
     n, distribution, q, source, seed, repetitions = args
     result = simulate_gossip_batch(
         n, distribution, q, repetitions=repetitions, source=source, seed=seed
     )
-    return [
-        (
-            m.n_alive,
-            m.n_reached_alive,
-            m.reliability,
-            m.rounds,
-            m.messages_sent,
-            m.duplicates,
-            m.success,
-            m.spread,
-        )
-        for m in result.metrics()
-    ]
+    return _columns(result)
 
 
-def _run_one_replica(
-    args: tuple[int, FanoutDistribution, float, int, int],
-) -> tuple[int, int, float, int, int, int, bool, bool]:
-    """Process-pool worker: run one scalar execution and return flat metrics.
-
-    Returns ``(n_alive, n_reached_alive, reliability, rounds, messages,
-    duplicates, success, spread)``.  Kept for the ``engine="scalar"``
-    reference path.
-    """
-    n, distribution, q, source, seed = args
-    execution = simulate_gossip_once(n, distribution, q, source=source, seed=seed)
+def _columns(result: BatchResult) -> tuple[np.ndarray, ...]:
+    """The per-replica columns of ``result`` in :func:`summarize_replicas` order."""
     return (
-        execution.n_alive(),
-        execution.n_delivered(),
-        execution.reliability(),
-        execution.rounds,
-        execution.messages_sent,
-        execution.duplicates,
-        execution.is_success(1.0),
-        execution.spread_occurred(),
+        result.reliability(),
+        result.rounds,
+        result.messages_sent,
+        result.success(),
+        result.spread_occurred(),
     )
+
+
+def _run_one_replica(args: tuple[int, FanoutDistribution, float, int, int]) -> ExecutionMetrics:
+    """Process-pool worker for ``engine="scalar"``: one reference execution's metrics."""
+    n, distribution, q, source, seed = args
+    return simulate_gossip_once(n, distribution, q, source=source, seed=seed).metrics()
 
 
 def estimate_reliability(
@@ -143,28 +127,24 @@ def estimate_reliability(
     repetitions = check_integer("repetitions", repetitions, minimum=1)
     engine = check_choice("engine", engine, ("batch", "scalar"))
 
-    def _summarize(executions: list[ExecutionMetrics]) -> ReliabilityEstimate:
-        return summarize_executions(
-            executions,
-            n=n,
-            q=q,
-            mean_fanout=distribution.mean(),
-            conditional_on_spread=conditional_on_spread,
-        )
-
+    summary: dict[str, Any] = {
+        "n": n,
+        "q": q,
+        "mean_fanout": distribution.mean(),
+        "conditional_on_spread": conditional_on_spread,
+    }
     if membership is not None:
         # Partial views are not shipped to workers: run serially.  There is
         # no parallel twin of this path, so no seed-layout split to guard.
         if engine == "scalar":
             rng = as_generator(seed)
-            return _summarize(
-                [
-                    simulate_gossip_once(
-                        n, distribution, q, source=source, seed=rng, membership=membership
-                    ).metrics()
-                    for _ in range(repetitions)
-                ]
-            )
+            executions = [
+                simulate_gossip_once(
+                    n, distribution, q, source=source, seed=rng, membership=membership
+                ).metrics()
+                for _ in range(repetitions)
+            ]
+            return summarize_executions(executions, **summary)
         result = simulate_gossip_batch(
             n,
             distribution,
@@ -174,7 +154,7 @@ def estimate_reliability(
             seed=seed,
             membership=membership,
         )
-        return _summarize(result.metrics())
+        return summarize_replicas(*_columns(result), **summary)
 
     if engine == "scalar":
         # One spawned seed per replica regardless of `processes`; the pool
@@ -182,23 +162,8 @@ def estimate_reliability(
         # so processes=None / 1 / k are bit-identical at a fixed seed.
         seeds = spawn_seeds(repetitions, seed)
         work = [(n, distribution, q, source, s) for s in seeds]
-        rows = parallel_map(_run_one_replica, work, processes=processes)
-        return _summarize(
-            [
-                ExecutionMetrics(
-                    n=n,
-                    n_alive=row[0],
-                    n_reached_alive=row[1],
-                    reliability=row[2],
-                    rounds=row[3],
-                    messages_sent=row[4],
-                    duplicates=row[5],
-                    success=row[6],
-                    spread=row[7],
-                )
-                for row in rows
-            ]
-        )
+        executions = parallel_map(_run_one_replica, work, processes=processes)
+        return summarize_executions(executions, **summary)
 
     # Chunked replica batches: one task per chunk, not per replica.  Chunk
     # count and per-chunk seeds depend only on `repetitions` and `seed` —
@@ -214,22 +179,7 @@ def estimate_reliability(
         if size > 0
     ]
     chunks = parallel_map(_run_replica_batch, work, processes=processes, serial_threshold=1)
-    executions = [
-        ExecutionMetrics(
-            n=n,
-            n_alive=row[0],
-            n_reached_alive=row[1],
-            reliability=row[2],
-            rounds=row[3],
-            messages_sent=row[4],
-            duplicates=row[5],
-            success=row[6],
-            spread=row[7],
-        )
-        for chunk in chunks
-        for row in chunk
-    ]
-    return _summarize(executions)
+    return summarize_replicas(*map(np.concatenate, zip(*chunks, strict=True)), **summary)
 
 
 @dataclass(frozen=True)

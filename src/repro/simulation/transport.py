@@ -52,10 +52,7 @@ class BatchOutcome:
         requests); ``None`` for protocols that only ever push payload.
     stats:
         Optional protocol-specific measurements of the run (e.g. HyParView's
-        view repairs), surfaced as ``BatchProtocolResult.stats``.
-    timed:
-        ``False`` when the hook tracked no delivery times (the base class's
-        scalar replay), so the result reports ``delivery_times=None``.
+        view repairs), surfaced as ``BatchResult.stats``.
     """
 
     delivered: np.ndarray
@@ -64,7 +61,6 @@ class BatchOutcome:
     rounds: np.ndarray
     control: np.ndarray | None = None
     stats: dict[str, Any] | None = None
-    timed: bool = True
 
 
 class Transport:

@@ -28,10 +28,8 @@ from repro.simulation.churn import PoissonChurnModel
 from repro.simulation.failures import TargetedCrashModel, UniformCrashModel
 from repro.simulation.gossip import simulate_gossip_batch
 from repro.simulation.network import NetworkModel, latency_exponential
-from repro.simulation.protocol_batch import (
-    BatchProtocolResult,
-    simulate_protocol_batch,
-)
+from repro.simulation.metrics import BatchResult
+from repro.simulation.protocol_batch import simulate_protocol_batch
 from tests.helpers.statistical import (
     assert_reliability_within_band,
     assert_same_counts_chisquare,
@@ -67,7 +65,7 @@ def _scalar_samples(protocol, n, q, repetitions, seed, **kwargs):
 class TestBatchBasics:
     def test_shapes_and_invariants(self, protocol):
         result = simulate_protocol_batch(protocol, 150, 0.8, repetitions=10, seed=1)
-        assert isinstance(result, BatchProtocolResult)
+        assert isinstance(result, BatchResult)
         assert result.protocol == protocol.name
         assert result.alive.shape == result.delivered.shape == (10, 150)
         assert result.repetitions == 10
@@ -92,40 +90,6 @@ class TestBatchBasics:
         wrapped = protocol.run_batch(90, 0.9, repetitions=5, seed=3)
         np.testing.assert_array_equal(direct.delivered, wrapped.delivered)
         np.testing.assert_array_equal(direct.messages_sent, wrapped.messages_sent)
-
-    def test_replica_round_trip(self, protocol):
-        result = simulate_protocol_batch(protocol, 80, 0.85, repetitions=4, seed=5)
-        for replica in range(4):
-            scalar = result.result(replica)
-            assert scalar.protocol == protocol.name
-            assert scalar.n_alive() == int(result.n_alive()[replica])
-            assert scalar.reliability() == pytest.approx(
-                float(result.reliability()[replica])
-            )
-
-    def test_scalar_fallback_hook_for_unbatched_subclasses(self):
-        # A subclass without its own batched hook runs through the base
-        # class's scalar replay and still honours the result contract.
-        from repro.protocols.base import Protocol
-
-        class ScalarOnlyGossip(FixedFanoutGossip):
-            name = "scalar-only"
-            _disseminate_batch = Protocol._disseminate_batch
-
-        result = simulate_protocol_batch(ScalarOnlyGossip(3), 60, 0.9, repetitions=4, seed=7)
-        assert result.alive.shape == (4, 60)
-        assert not np.any(result.delivered & ~result.alive)
-        assert np.all(result.reliability() > 0.0)
-        batched = simulate_protocol_batch(FixedFanoutGossip(3), 60, 0.9, repetitions=4, seed=7)
-        # Same failure layer either way: the alive masks coincide per seed.
-        np.testing.assert_array_equal(result.alive, batched.alive)
-        # The replay tracks no time, so even a networked run reports none.
-        lossy = simulate_protocol_batch(
-            ScalarOnlyGossip(3), 60, 0.9, repetitions=4, seed=7,
-            network=NetworkModel(loss_probability=0.3),
-        )
-        assert lossy.delivery_times is None
-        assert lossy.messages_dropped.sum() > 0
 
     def test_hook_with_plane_keywords_fails_loudly(self):
         # A hook written against the old keyword signature (planes passed as

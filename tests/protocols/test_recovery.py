@@ -257,12 +257,6 @@ class TestAccountingSplit:
             == scalar.messages_sent
         )
 
-    def test_per_replica_result_carries_the_split(self, protocol):
-        batch = simulate_protocol_batch(protocol, 100, 0.9, repetitions=4, seed=33)
-        single = batch.result(2)
-        assert single.control_messages_sent == int(batch.control_messages()[2])
-        assert single.payload_messages_sent() == int(batch.payload_messages_sent()[2])
-
 
 class TestChurnComposition:
     """The recovery protocols accept the churn plane and stay consistent."""

@@ -15,13 +15,14 @@ import pytest
 
 from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.core.poisson_case import poisson_reliability
-from repro.simulation.gossip import (
-    BatchGossipResult,
-    simulate_gossip_batch,
-    simulate_gossip_once,
+from repro.simulation.gossip import simulate_gossip_batch, simulate_gossip_once
+from repro.simulation.churn import (
+    ChurnScheduleBatch,
+    PoissonChurnModel,
+    trivial_schedule_batch,
 )
-from repro.simulation.churn import ChurnScheduleBatch, trivial_schedule_batch
 from repro.simulation.membership import FullView, MembershipView, UniformPartialView
+from repro.simulation.metrics import BatchResult
 from repro.simulation.network import NetworkModel
 from repro.simulation.transport import Transport
 from tests.helpers.statistical import (
@@ -42,7 +43,7 @@ def _scalar_samples(n, dist, q, repetitions, seed, **kwargs):
 class TestBatchBasics:
     def test_shapes_and_invariants(self):
         result = simulate_gossip_batch(400, PoissonFanout(4.0), 0.8, repetitions=12, seed=1)
-        assert isinstance(result, BatchGossipResult)
+        assert isinstance(result, BatchResult)
         assert result.alive.shape == result.delivered.shape == (12, 400)
         assert result.rounds.shape == (12,)
         assert result.repetitions == 12
@@ -66,14 +67,6 @@ class TestBatchBasics:
         result = simulate_gossip_batch(200, PoissonFanout(3.0), 0.6, repetitions=8, seed=2)
         masks = {tuple(row.tolist()) for row in result.alive}
         assert len(masks) > 1
-
-    def test_execution_and_metrics_round_trip(self):
-        result = simulate_gossip_batch(150, PoissonFanout(4.0), 0.9, repetitions=5, seed=3)
-        metrics = result.metrics()
-        assert len(metrics) == 5
-        for r in range(5):
-            execution = result.execution(r)
-            assert execution.metrics() == metrics[r]
 
     def test_alive_override(self):
         n, reps = 30, 4
@@ -227,6 +220,32 @@ class TestChurn:
         for field in (*fields, "messages_dropped", "delivery_times"):
             np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
         assert runs[0].messages_dropped.any()
+
+
+    def test_owned_churn_schedule_reports_survivors(self):
+        rng = np.random.default_rng(23)
+        churn = PoissonChurnModel(0.05, 0.05, initially_absent=0.1)
+        schedule = churn.draw_batch(500, 8, rng)
+        result = simulate_gossip_batch(
+            500, PoissonFanout(6.0), 0.9, repetitions=8, seed=rng, churn=schedule
+        )
+        np.testing.assert_array_equal(result.present, schedule.present_at_rounds(result.rounds))
+        survivors = result.alive & result.present
+        np.testing.assert_array_equal(
+            result.reliability_among_survivors(),
+            (result.delivered & survivors).sum(axis=1) / survivors.sum(axis=1),
+        )
+        # Members absent at the end cannot hold the message, so counting
+        # them (plain reliability) reads lower than counting survivors.
+        assert result.reliability_among_survivors().mean() > result.reliability().mean()
+
+    def test_borrowed_transport_leaves_survivors_to_its_owner(self):
+        rng = np.random.default_rng(24)
+        transport = Transport(rng, self.R, self.N, 0, churn=self._schedule())
+        result = simulate_gossip_batch(
+            self.N, FixedFanout(6), 1.0, repetitions=self.R, seed=rng, transport=transport
+        )
+        assert result.present is None
 
 
 class TestDistributionEquivalence:
